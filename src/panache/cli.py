@@ -336,9 +336,9 @@ def _dispatch(args) -> int:
 
     if cmd == "search-counterexample":
         weights = [int(x) for x in args.pattern.split(",")]
-        lo, hi = args.seeds.split("..")
+        seeds = _seed_range(args.seeds)
         degrees = [int(x) for x in args.degrees.split(",")] if args.degrees else None
-        outcome = counterexample_search(weights, range(int(lo), int(hi)),
+        outcome = counterexample_search(weights, seeds,
                                         degrees=degrees,
                                         stop_at_first=not args.all)
         report = {"found": outcome.found, "log": outcome.log}
@@ -353,11 +353,26 @@ def _dispatch(args) -> int:
     if cmd == "corpus":
         if args.corpus_command != "run":
             raise WorkspaceError("corpus", "expected: corpus run --suite NAME")
+        if args.count is not None and args.count <= 0:
+            raise WorkspaceError("corpus.run.--count",
+                                 f"must be positive, got {args.count}")
         res = run_suite(args.suite, count=args.count, seed=args.seed)
         _emit(res.as_dict(), args)
         return 0 if res.ok else VIOLATION_EXIT
 
     raise WorkspaceError(cmd or "<none>", "unknown subcommand")
+
+
+def _seed_range(text: str) -> range:
+    """Parse a non-empty seed range A..B (B exclusive)."""
+    field_path = "search-counterexample.--seeds"
+    try:
+        lo, hi = (int(x) for x in text.split(".."))
+    except ValueError:
+        raise WorkspaceError(field_path, f"expected A..B with integers, got {text!r}")
+    if hi <= lo:
+        raise WorkspaceError(field_path, f"empty range {text!r}: need A < B")
+    return range(lo, hi)
 
 
 def _theorem1_report(m, p: int, samples: int, seed: int) -> dict:

@@ -40,9 +40,6 @@ class LieSubspace:
                     return False
         return True
 
-    def contains_matrix(self, m: Mat) -> bool:
-        return self.space.contains(m.flat())
-
 
 def end_block_subspace(m: RepObject, predicate) -> Subspace:
     """Coordinate subspace of End(fiber) on the entries (a, b) selected by

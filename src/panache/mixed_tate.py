@@ -132,12 +132,6 @@ def build_mt_model(max_twist: int, kummer_rank: int = 1) -> GroupPresentation:
     return free_graded_lie(rank, weight, degrees, -2 * max_twist, names=names)
 
 
-def model_primes(model: GroupPresentation) -> list[int]:
-    return [int(g.name[1:]) for g in model.generators
-            if g.name.startswith("k") and g.name[1:].isdigit() and len(g.degree) == 1
-            and g.degree == (1,) and g.name[1:].isdigit()]
-
-
 def tate_object(model: GroupPresentation, n: int) -> RepObject:
     return simple_character(model, (n,))
 

@@ -80,9 +80,6 @@ class RepObject:
         """In the model, semisimple = all actions vanish."""
         return not self.actions
 
-    def relabel(self, labels: Sequence[str]) -> RepObject:
-        return RepObject(self.presentation, tuple(labels), self.characters, dict(self.actions))
-
     # -- validation ---------------------------------------------------------
 
     def validate(self) -> list[str]:
@@ -153,12 +150,6 @@ class Morphism:
                 problems.append(f"does not intertwine generator {self.source.presentation.name_of(i)}")
                 return problems
         return problems
-
-    def compose(self, other: Morphism) -> Morphism:
-        """self after other."""
-        if other.target is not self.source and other.target.characters != self.source.characters:
-            raise ValueError("composition mismatch")
-        return Morphism(other.source, self.target, self.matrix.matmul(other.matrix))
 
     @staticmethod
     def identity(m: RepObject) -> Morphism:

@@ -44,17 +44,35 @@ def _is_lyndon(w: Word) -> bool:
     return all(w < w[i:] for i in range(1, len(w)))
 
 
-def lyndon_words(alphabet_size: int, max_len: int) -> Iterable[Word]:
-    """Duval's generation of Lyndon words in lexicographic order."""
-    w = [-1]
-    while w:
-        w[-1] += 1
-        yield tuple(w)
-        m = len(w)
-        while len(w) < max_len:
-            w.append(w[len(w) - m])
-        while w and w[-1] == alphabet_size - 1:
-            w.pop()
+def lyndon_words(letter_weights: Sequence[int], weight_bound: int) -> Iterable[Word]:
+    """The Lyndon words of weight >= ``weight_bound`` in lexicographic order,
+    where letter c weighs ``letter_weights[c]`` and a word the sum of its
+    letters.
+
+    A depth-first walk of the prenecklace tree (Cattell, Ruskey, Sawada,
+    Serra, Miers 2000) on an explicit stack: a node is a prenecklace w with
+    its period p, its children are w·j for letters j >= w[len(w) - p], and
+    it is Lyndon exactly when p == len(w).  Every letter weight is negative,
+    so a prefix below the bound is cut together with its whole subtree and
+    only prenecklaces of weight >= ``weight_bound`` are visited.
+    """
+    if any(lw >= 0 for lw in letter_weights):
+        raise ValueError("letter weights must be negative")
+    top = len(letter_weights) - 1
+    # (word, period, weight); children are pushed in reverse letter order
+    # so that they pop in lexicographic order
+    stack = [((j,), 1, letter_weights[j]) for j in range(top, -1, -1)
+             if letter_weights[j] >= weight_bound]
+    while stack:
+        w, p, wt = stack.pop()
+        n = len(w)
+        if p == n:
+            yield w
+        first = w[n - p]
+        for j in range(top, first - 1, -1):
+            child_wt = wt + letter_weights[j]
+            if child_wt >= weight_bound:
+                stack.append((w + (j,), p if j == first else n + 1, child_wt))
 
 
 def standard_factorization(w: Word) -> tuple[Word, Word]:
@@ -155,9 +173,6 @@ class _ExplicitTable:
     def bracket(self, i: int, j: int) -> dict[int, Fraction]:
         return self.table.get((i, j), {})
 
-    def stored_pairs(self):
-        return self.table.keys()
-
 
 class _FreeTable:
     """Lazy structure constants backed by a FreeLieEngine."""
@@ -181,9 +196,6 @@ class _FreeTable:
             out = {self.meta.word_index[w]: c for w, c in words.items()}
         self._cache[key] = out
         return out
-
-    def stored_pairs(self):
-        return self._cache.keys()
 
 
 @dataclass
@@ -304,13 +316,6 @@ def tate_convention() -> tuple[int, tuple[int, ...]]:
     return 1, (-2,)
 
 
-def _bracket_name(word: Word, gen_names: Sequence[str]) -> str:
-    if len(word) == 1:
-        return gen_names[word[0]]
-    u, v = standard_factorization(word)
-    return f"[{_bracket_name(u, gen_names)},{_bracket_name(v, gen_names)}]"
-
-
 def free_graded_lie(torus_rank: int,
                     weight: Sequence[int],
                     generator_degrees: Sequence[Sequence[int]],
@@ -319,8 +324,12 @@ def free_graded_lie(torus_rank: int,
     """Free graded Lie algebra on the given generators, truncated by
     discarding every Lyndon-basis element of weight below ``weight_bound``.
 
-    Basis order: weight descending (towards the bound), then word length,
-    then the generating word itself.
+    Only the kept Lyndon words are enumerated (``lyndon_words`` prunes every
+    prefix below the bound).  Basis order: weight descending (towards the
+    bound), then word length, then the generating word itself.  The standard
+    factors of a word weigh more than the word, so they precede it, and one
+    pass over the sorted basis builds each name and degree from theirs.
+    Elements of one degree share one degree tuple and one weight int.
     """
     weight = tuple(int(x) for x in weight)
     degrees = [tuple(int(x) for x in d) for d in generator_degrees]
@@ -334,33 +343,32 @@ def free_graded_lie(torus_rank: int,
             raise ValueError("weight_bound must not discard a generator")
     if names is None:
         names = [f"x{i}" for i in range(len(degrees))]
-    max_len = max(1, weight_bound // max(gen_weights))
 
-    kept: list[Word] = []
-    for w in lyndon_words(len(degrees), max_len):
-        if sum(gen_weights[c] for c in w) >= weight_bound:
-            kept.append(w)
-
-    def word_weight(w: Word) -> int:
-        return sum(gen_weights[c] for c in w)
-
-    kept.sort(key=lambda w: (-word_weight(w), len(w), w))
+    kept = sorted(lyndon_words(gen_weights, weight_bound),
+                  key=lambda w: (-sum(gen_weights[c] for c in w), len(w), w))
     word_index = {w: i for i, w in enumerate(kept)}
+
+    shared: dict[Degree, tuple[Degree, int]] = {}
+    gens: list[Generator] = []
+    weights: list[int] = []
+    for w in kept:
+        if len(w) == 1:
+            name, degree = names[w[0]], degrees[w[0]]
+        else:
+            u, v = standard_factorization(w)
+            a, b = gens[word_index[u]], gens[word_index[v]]
+            name, degree = f"[{a.name},{b.name}]", add_deg(a.degree, b.degree)
+        entry = shared.get(degree)
+        if entry is None:
+            entry = shared[degree] = (degree, dot(weight, degree))
+        degree, wt = entry
+        gens.append(Generator(name, degree))
+        weights.append(wt)
 
     engine = FreeLieEngine(len(degrees))
     meta = FreeMeta(tuple(degrees), int(weight_bound), tuple(kept), engine, word_index)
-
-    def word_degree(w: Word) -> Degree:
-        d = [0] * torus_rank
-        for c in w:
-            for k in range(torus_rank):
-                d[k] += degrees[c][k]
-        return tuple(d)
-
-    gens = tuple(Generator(_bracket_name(w, names), word_degree(w)) for w in kept)
-    weights = [word_weight(w) for w in kept]
     table = _FreeTable(meta, weights, int(weight_bound))
-    return GroupPresentation(torus_rank, weight, gens, table, free_meta=meta)
+    return GroupPresentation(torus_rank, weight, tuple(gens), table, free_meta=meta)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,16 @@
 """Group presentations: free graded Lie algebras, validation, Hall data."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from panache.presentations import (abelian_presentation, explicit_presentation,
-                                   free_graded_lie, heisenberg_presentation,
-                                   necklace_count, validate_presentation)
+from panache.mixed_tate import build_mt_model
+from panache.presentations import (_moebius, abelian_presentation,
+                                   explicit_presentation, free_graded_lie,
+                                   heisenberg_presentation, lyndon_words,
+                                   necklace_count, standard_factorization,
+                                   validate_presentation)
 
 
 def test_one_generator_is_abelian():
@@ -105,3 +109,106 @@ def test_pairs_with_degree_sum_covers_mixed_orders():
     idx2 = set(p.gens_of_degree((2,)))
     expected = {(min(i, j), max(i, j)) for i in idx1 for j in idx2 if i != j}
     assert pairs == expected
+
+
+# ---------------------------------------------------------------------------
+# reference enumeration: every Lyndon word up to a length, filtered by weight
+
+
+def duval_lyndon_words(alphabet_size, max_len):
+    """Duval's generation of all Lyndon words of length <= max_len in
+    lexicographic order."""
+    w = [-1]
+    while w:
+        w[-1] += 1
+        yield tuple(w)
+        m = len(w)
+        while len(w) < max_len:
+            w.append(w[len(w) - m])
+        while w and w[-1] == alphabet_size - 1:
+            w.pop()
+
+
+def filtered_duval(letter_weights, bound):
+    max_len = max(1, bound // max(letter_weights))
+    return [w for w in duval_lyndon_words(len(letter_weights), max_len)
+            if sum(letter_weights[c] for c in w) >= bound]
+
+
+def recursive_bracket_name(word, gen_names):
+    if len(word) == 1:
+        return gen_names[word[0]]
+    u, v = standard_factorization(word)
+    return f"[{recursive_bracket_name(u, gen_names)},{recursive_bracket_name(v, gen_names)}]"
+
+
+def test_pruned_lyndon_words_match_filtered_duval():
+    rng = random.Random(20220115)
+    for _ in range(150):
+        letter_weights = [-rng.randint(1, 4) for _ in range(rng.randint(1, 5))]
+        top = max(letter_weights)
+        bound = rng.randint(7 * top + 1, top + 1)
+        assert list(lyndon_words(letter_weights, bound)) == \
+            filtered_duval(letter_weights, bound), (letter_weights, bound)
+
+
+def test_lyndon_words_rejects_nonnegative_weight():
+    with pytest.raises(ValueError):
+        list(lyndon_words([-1, 0], -3))
+
+
+@pytest.mark.parametrize("rank,weight,degrees,bound", [
+    (1, (-1,), [(1,), (1,)], -5),
+    (1, (-2,), [(3,), (1,), (1,), (5,)], -12),
+    (1, (-1,), [(2,), (1,), (3,)], -7),
+    (2, (-1, -1), [(1, 0), (0, 1), (1, 1)], -5),
+    (2, (-1, -2), [(0, 1), (1, 0), (1, 1)], -7),
+])
+def test_free_graded_lie_matches_reference_enumeration(rank, weight, degrees, bound):
+    names = [f"g{i}" for i in range(len(degrees))]
+    p = free_graded_lie(rank, weight, degrees, bound, names=names)
+    letter_weights = [sum(a * b for a, b in zip(weight, d)) for d in degrees]
+
+    def word_weight(w):
+        return sum(letter_weights[c] for c in w)
+
+    kept = sorted(filtered_duval(letter_weights, bound),
+                  key=lambda w: (-word_weight(w), len(w), w))
+    assert p.free_meta.hall_words == tuple(kept)
+    assert [g.name for g in p.generators] == \
+        [recursive_bracket_name(w, names) for w in kept]
+    assert [g.degree for g in p.generators] == \
+        [tuple(sum(degrees[c][k] for c in w) for k in range(rank)) for w in kept]
+    assert p.table.weights == [word_weight(w) for w in kept]
+
+
+def graded_witt_dimensions(generator_degrees, max_degree):
+    """dim L_n of the free Lie algebra on generators of the given positive
+    degrees, for n <= max_degree: n dim L_n = sum_{d | n} mu(n/d) d c_d with
+    c_N the coefficient of t^N in sum_m f(t)^m / m, f(t) = sum_i t^(deg_i)."""
+    f = [0] * (max_degree + 1)
+    for d in generator_degrees:
+        f[d] += 1
+    c = [Fraction(0)] * (max_degree + 1)
+    power = [1] + [0] * max_degree          # f(t)^m, truncated
+    for m in range(1, max_degree + 1):
+        power = [sum(power[i] * f[n - i] for i in range(n + 1))
+                 for n in range(max_degree + 1)]
+        for n in range(max_degree + 1):
+            c[n] += Fraction(power[n], m)
+    dims = {}
+    for n in range(1, max_degree + 1):
+        total = sum(_moebius(n // d) * d * c[d] for d in range(1, n + 1) if n % d == 0)
+        assert total.denominator == 1 and total.numerator % n == 0
+        dims[n] = total.numerator // n
+    return dims
+
+
+def test_calibration_model_counts_match_graded_witt_formula():
+    p = build_mt_model(9, 4)
+    counts = {}
+    for g in p.generators:
+        counts[g.degree[0]] = counts.get(g.degree[0], 0) + 1
+    expected = graded_witt_dimensions([3, 5, 7, 9, 1, 1, 1, 1], 9)
+    assert counts == {n: d for n, d in expected.items() if d}
+    assert sum(counts.values()) == 46_571

@@ -318,3 +318,19 @@ def test_fixtures_validate_against_schemas():
         bad = json.load(fh)
     bad["objects"]["kummer"]["actions"]["x"][0][2] = "1/0"
     assert list(validator.iter_errors(bad))
+
+
+@pytest.mark.parametrize("seeds", ["5..1", "3..3", "0-5", "a..b"])
+def test_cli_search_rejects_vacuous_or_malformed_seeds(ws_path, seeds, capsys):
+    rc, out = run_cli(["search-counterexample", "--pattern", "0,-2,-4",
+                       "--seeds", seeds], ws_path)
+    assert rc == 2 and out == ""
+    assert "search-counterexample.--seeds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_cli_corpus_run_rejects_nonpositive_count(ws_path, count, capsys):
+    rc, out = run_cli(["--seed", "0", "corpus", "run", "--suite", "total-split",
+                       "--count", count], ws_path)
+    assert rc == 2 and out == ""
+    assert "corpus.run.--count" in capsys.readouterr().err
