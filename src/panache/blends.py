@@ -195,19 +195,13 @@ def blend(pair: CompatiblePair) -> BlendResult:
     layout.sort()
     pos = {key: k for k, key in enumerate(layout)}
 
-    relevant = sorted(set(lmats) | set(nmats) | set(b_obj.actions) |
-                      set(c_obj.actions) | set(gen_cells))
-    pairs = set()
-    for i in relevant:
-        for j in relevant:
-            if i < j:
-                pairs.add((i, j))
-    for g in gen_cells:
-        pairs.update(p.pairs_with_degree_sum(p.degree(g)))
+    relevant = (set(lmats) | set(nmats) | set(b_obj.actions) |
+                set(c_obj.actions) | set(gen_cells))
+    pairs = p.pairs_touching(relevant, relevant, {p.degree(g) for g in gen_cells})
 
     sparse_rows: list[dict[int, Fraction]] = []
     rhs: list[Fraction] = []
-    for (i, j) in sorted(pairs):
+    for (i, j) in pairs:
         bi, bj = b_obj.actions.get(i), b_obj.actions.get(j)
         ci, cj = c_obj.actions.get(i), c_obj.actions.get(j)
         bracket = p.bracket(i, j)

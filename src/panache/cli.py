@@ -335,9 +335,8 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "search-counterexample":
-        weights = [int(x) for x in args.pattern.split(",")]
+        weights, degrees = _search_pattern(args.pattern, args.degrees)
         seeds = _seed_range(args.seeds)
-        degrees = [int(x) for x in args.degrees.split(",")] if args.degrees else None
         outcome = counterexample_search(weights, seeds,
                                         degrees=degrees,
                                         stop_at_first=not args.all)
@@ -373,6 +372,28 @@ def _seed_range(text: str) -> range:
     if hi <= lo:
         raise WorkspaceError(field_path, f"empty range {text!r}: need A < B")
     return range(lo, hi)
+
+
+def _search_pattern(pattern: str, degrees: str | None) -> tuple[list[int], list[int] | None]:
+    """Parse --pattern and --degrees of a search.  A pattern needs two
+    distinct even weights, or no object has a filtration cut to test;
+    degrees must be positive, so that every generator weighs < 0."""
+    def ints(option: str, text: str) -> list[int]:
+        try:
+            return [int(x) for x in text.split(",")]
+        except ValueError:
+            raise WorkspaceError(f"search-counterexample.{option}",
+                                 f"expected comma-separated integers, got {text!r}")
+
+    weights = ints("--pattern", pattern)
+    if len(set(weights)) < 2 or any(w % 2 for w in weights):
+        raise WorkspaceError("search-counterexample.--pattern",
+                             f"need two or more distinct even weights, got {pattern!r}")
+    gen_degrees = ints("--degrees", degrees) if degrees else None
+    if gen_degrees and min(gen_degrees) < 1:
+        raise WorkspaceError("search-counterexample.--degrees",
+                             f"degrees must be positive, got {degrees!r}")
+    return weights, gen_degrees
 
 
 def _theorem1_report(m, p: int, samples: int, seed: int) -> dict:

@@ -158,7 +158,8 @@ class ExtClassHandle:
         return self.scale(-1)
 
     def cocycle_defects(self) -> list[tuple[int, int]]:
-        """Pairs where the cocycle identity fails (empty for honest classes)."""
+        """Pairs where the cocycle identity fails (empty for honest classes),
+        in index order; only the pairs ``_relevant_pairs`` names can fail."""
         x = self.target
         bad = []
         for i, j in _relevant_pairs(x, extra_support=self.support()):
@@ -206,25 +207,14 @@ def _normal_form(x: RepObject, comps: dict[int, tuple]) -> dict:
     return {k: v for k, v in reduced.items() if v != 0}
 
 
-def _relevant_pairs(x: RepObject, extra_support: Sequence[int] = ()) -> Iterable[tuple[int, int]]:
-    p = x.presentation
-    if p.n_gens <= 60:
-        for i in range(p.n_gens):
-            for j in range(i + 1, p.n_gens):
-                yield (i, j)
-        return
-    pairs: set[tuple[int, int]] = set()
-    chars = x.character_set()
-    interesting = sorted(set(x.action_support()) | set(extra_support))
-    char_gens = [g for chi in chars for g in p.gens_of_degree(chi)]
-    for i in interesting:
-        for j in char_gens:
-            if i != j:
-                pairs.add((min(i, j), max(i, j)))
-    for chi in chars:
-        if any(c != 0 for c in chi):
-            pairs.update(p.pairs_with_degree_sum(chi))
-    yield from sorted(pairs)
+def _relevant_pairs(x: RepObject, extra_support: Sequence[int] = ()) -> list[tuple[int, int]]:
+    """The pairs where A_i c_j - A_j c_i = c([b_i, b_j]) can fail: an acting
+    or cocycle-carrying generator against one whose degree is a character
+    of X, or a pair whose degrees sum to a nonzero character."""
+    p, chars = x.presentation, x.character_set()
+    return p.pairs_touching(set(x.action_support()) | set(extra_support),
+                            [g for chi in chars for g in p.gens_of_degree(chi)],
+                            [chi for chi in chars if any(chi)])
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .linalg import (Mat, ONE, ZERO, Subspace, commutator, intersect_subspaces,
                      kernel_basis, vec_is_zero)
@@ -83,7 +83,10 @@ class RepObject:
     # -- validation ---------------------------------------------------------
 
     def validate(self) -> list[str]:
-        """Equivariance and Lie-homomorphism checks; empty list means pass."""
+        """Equivariance and Lie-homomorphism checks; empty list means pass.
+        [A_i, A_j] = A_[b_i,b_j] is checked, in index order, only where it can
+        fail: both generators act, or degree(i) + degree(j) is a nonzero
+        character difference (``GroupPresentation.pairs_touching``)."""
         problems: list[str] = []
         p = self.presentation
         for i, m in self.actions.items():
@@ -98,36 +101,16 @@ class RepObject:
                     break
         if problems:
             return problems
+        chars, support = self.character_set(), self.action_support()
         char_diffs = {tuple(x - y for x, y in zip(ca, cb))
-                      for ca in self.character_set() for cb in self.character_set()}
-        for i, j in self._relevant_pairs(char_diffs):
+                      for ca in chars for cb in chars if ca != cb}
+        for i, j in p.pairs_touching(support, support, char_diffs):
             lhs = commutator(self.action(i), self.action(j))
             rhs = self.action_of_element(p.bracket(i, j))
             if lhs != rhs:
                 problems.append(f"lie-hom: pair ({p.name_of(i)},{p.name_of(j)})")
                 return problems
         return problems
-
-    def _relevant_pairs(self, char_diffs: set[Character]) -> Iterable[tuple[int, int]]:
-        p = self.presentation
-        if p.n_gens <= 60:
-            for i in range(p.n_gens):
-                for j in range(i + 1, p.n_gens):
-                    yield (i, j)
-            return
-        # only pairs that can touch a nonzero action on either side
-        seen: set[tuple[int, int]] = set()
-        support = self.action_support()
-        for i in support:
-            for j in support:
-                if i < j:
-                    seen.add((i, j))
-        for d in char_diffs:
-            if all(x == 0 for x in d):
-                continue
-            for pair in p.pairs_with_degree_sum(d):
-                seen.add(pair)
-        yield from sorted(seen)
 
 
 @dataclass

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .linalg import ONE, ZERO, rat
 
@@ -267,26 +267,33 @@ class GroupPresentation:
             else:
                 out[k] = acc
 
-    def pairs_with_degree_sum(self, degree: Degree) -> Iterable[tuple[int, int]]:
+    def pairs_with_degree_sum(self, degree: Degree) -> set[tuple[int, int]]:
         """All pairs i < j with degree(i) + degree(j) == degree."""
-        degree = tuple(degree)
-        seen = set()
+        pairs = set()
         for d1 in self.occurring_degrees():
-            d2 = tuple(x - y for x, y in zip(degree, d1))
-            if d2 < d1:
-                continue
-            firsts = self.gens_of_degree(d1)
-            seconds = self.gens_of_degree(d2)
-            if not firsts or not seconds:
-                continue
-            for i in firsts:
-                for j in seconds:
-                    if i == j:
-                        continue
-                    pair = (i, j) if i < j else (j, i)
-                    if pair not in seen:
-                        seen.add(pair)
-                        yield pair
+            seconds = self.gens_of_degree(tuple(x - y for x, y in zip(degree, d1)))
+            pairs.update((min(i, j), max(i, j))
+                         for i in self.gens_of_degree(d1) for j in seconds if i != j)
+        return pairs
+
+    def pairs_touching(self, left: Collection[int], right: Collection[int],
+                       degree_sums: Iterable[Degree]) -> list[tuple[int, int]]:
+        """The sorted pairs i < j with one index in ``left`` and the other in
+        ``right``, or with degree(i) + degree(j) in ``degree_sums``: the one
+        rule for which generator pairs a pairwise identity (Lie homomorphism,
+        cocycle, blend corner) can fail on.  Terms of the identity in b_i and
+        b_j need i and j in the supports; a term in [b_i, b_j] needs some b_k
+        in it seen by the object, and in a graded presentation every such k
+        has degree(k) = degree(i) + degree(j).  So the rule is complete only
+        under the grading invariant of ``validate_presentation``, which free
+        and abelian presentations meet by construction and
+        ``presentation_from_json`` checks before any object loads.  Sorting
+        keeps the first failing pair the one an all-pairs scan reports.
+        """
+        pairs = {(min(i, j), max(i, j)) for i in left for j in right if i != j}
+        for d in degree_sums:
+            pairs |= self.pairs_with_degree_sum(d)
+        return sorted(pairs)
 
     def materialized_brackets(self) -> dict[tuple[int, int], dict[int, Fraction]]:
         out = {}

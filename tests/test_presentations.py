@@ -5,12 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import filtered_duval, recursive_bracket_name
 from panache.mixed_tate import build_mt_model
 from panache.presentations import (_moebius, abelian_presentation,
                                    explicit_presentation, free_graded_lie,
                                    heisenberg_presentation, lyndon_words,
-                                   necklace_count, standard_factorization,
-                                   validate_presentation)
+                                   necklace_count, validate_presentation)
 
 
 def test_one_generator_is_abelian():
@@ -111,35 +111,13 @@ def test_pairs_with_degree_sum_covers_mixed_orders():
     assert pairs == expected
 
 
-# ---------------------------------------------------------------------------
-# reference enumeration: every Lyndon word up to a length, filtered by weight
-
-
-def duval_lyndon_words(alphabet_size, max_len):
-    """Duval's generation of all Lyndon words of length <= max_len in
-    lexicographic order."""
-    w = [-1]
-    while w:
-        w[-1] += 1
-        yield tuple(w)
-        m = len(w)
-        while len(w) < max_len:
-            w.append(w[len(w) - m])
-        while w and w[-1] == alphabet_size - 1:
-            w.pop()
-
-
-def filtered_duval(letter_weights, bound):
-    max_len = max(1, bound // max(letter_weights))
-    return [w for w in duval_lyndon_words(len(letter_weights), max_len)
-            if sum(letter_weights[c] for c in w) >= bound]
-
-
-def recursive_bracket_name(word, gen_names):
-    if len(word) == 1:
-        return gen_names[word[0]]
-    u, v = standard_factorization(word)
-    return f"[{recursive_bracket_name(u, gen_names)},{recursive_bracket_name(v, gen_names)}]"
+def test_pairs_touching_unions_supports_and_degree_sums():
+    # basis x0, x1, [x0,x1], [x0,[x0,x1]], ... of degrees 1, 2, 3, 4, 5, 5
+    p = free_graded_lie(1, (-1,), [(1,), (2,)], -5)
+    # 1 against 0 and 2, then degree 5 = 1 + 4 = 2 + 3
+    assert p.pairs_touching([1], [0, 2], [(5,)]) == [(0, 1), (0, 3), (1, 2)]
+    # a shared index never pairs with itself, and both orders count once
+    assert p.pairs_touching([0, 1], [1, 0], []) == [(0, 1)]
 
 
 def test_pruned_lyndon_words_match_filtered_duval():

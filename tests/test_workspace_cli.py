@@ -110,7 +110,31 @@ def test_cocycle_identity_validated_on_load(tmp_path):
     raw["ext_classes"] = {"broken": {"target": "Q2", "cocycle": {"z": ["1"]}}}
     with pytest.raises(WorkspaceError) as err:
         workspace_from_json(raw)
-    assert "cocycle identity" in str(err.value)
+    assert str(err.value) == \
+        "ext_classes.broken: cocycle identity fails at pair (0, 1)"
+
+
+def test_lie_hom_failure_on_load_names_smallest_pair(tmp_path):
+    # (x, y) fails only through the bracket: neither acts, but [x, y] = z does;
+    # (w, v) fails because two acting generators do not commute
+    pres = explicit_presentation(1, (-1,),
+                                 [("x", (1,)), ("y", (1,)), ("w", (1,)),
+                                  ("v", (1,)), ("z", (2,))],
+                                 {(0, 1): {4: 1}})
+    doc = WorkspaceDoc(pres)
+    doc.objects["bad"] = RepObject(pres, ("c2", "c1", "c0"), ((2,), (1,), (0,)), {
+        2: Mat.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]]),
+        3: Mat.from_rows([[0, 1, 0], [0, 0, 0], [0, 0, 0]]),
+        4: Mat.from_rows([[0, 0, 1], [0, 0, 0], [0, 0, 0]])})
+    path = tmp_path / "ws.json"
+    save_workspace(doc, str(path))
+    with pytest.raises(WorkspaceError) as err:
+        load_workspace(str(path))
+    assert str(err.value) == \
+        "objects.bad: object invariant violated: lie-hom: pair (x,y)"
+    assert doc.objects["bad"].validate() == ["lie-hom: pair (x,y)"]
+    doc.objects["bad"].actions.pop(4)
+    assert doc.objects["bad"].validate() == ["lie-hom: pair (w,v)"]
 
 
 def run_cli(args, ws_path):
@@ -334,3 +358,16 @@ def test_cli_corpus_run_rejects_nonpositive_count(ws_path, count, capsys):
                        "--count", count], ws_path)
     assert rc == 2 and out == ""
     assert "corpus.run.--count" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option,value", [
+    ("--pattern", "0"), ("--pattern", "-2,-2"), ("--pattern", "0,,-4"),
+    ("--pattern", "0,-3"), ("--pattern", "a,b"),
+    ("--degrees", "1,x"), ("--degrees", "0,1"), ("--degrees", "1,-2"),
+])
+def test_cli_search_rejects_vacuous_or_malformed_pattern(ws_path, option, value, capsys):
+    args = {"--pattern": "0,-2,-4", "--seeds": "0..2", option: value}
+    rc, out = run_cli(["search-counterexample"] +
+                      [f"{k}={v}" for k, v in args.items()], ws_path)
+    assert rc == 2 and out == ""
+    assert f"search-counterexample.{option}" in capsys.readouterr().err
