@@ -18,9 +18,9 @@ from typing import Iterable, Sequence
 
 from .linalg import (IntLattice, Mat, ONE, ZERO, Subspace, kernel_basis,
                      rref_basis, solve_linear)
-from .objects import (Morphism, RepObject, internal_hom, subquotient,
+from .objects import (Morphism, RepObject, _restrict, internal_hom, subquotient,
                       unit_object, weight_filtration, weight_quotient)
-from .galois import LieSubspace, strictly_lower_block
+from .galois import LieSubspace
 
 
 FlatKey = tuple[int, int]          # (generator index, basis index of X)
@@ -525,31 +525,36 @@ def extension_object(e: ExtClassHandle) -> tuple[RepObject, Morphism, Morphism]:
     return ext, Morphism(x, ext, incl), Morphism(ext, unit_object(p), surj)
 
 
+def _lower_end(m: RepObject) -> tuple[RepObject, Morphism, list[int]]:
+    """End(M) restricted to its strictly-lowering indices (see
+    ``total_class``), with the coordinate inclusion and those indices."""
+    end = internal_hom(m, m)
+    d = m.dim
+    idx = sorted((k for k in range(d * d) if m.weight_of(k // d) < m.weight_of(k % d)),
+                 key=lambda k: (end.characters[k], k))
+    target = _restrict(end, idx)
+    incl = Mat.from_rows([[ONE if k == j else ZERO for j in idx] for k in range(d * d)])
+    return target, Morphism(target, end, incl), idx
+
+
 def total_class(m: RepObject) -> ExtClassHandle:
     """Sum over every integer cut of the pushforwards of the filtration
-    classes into the strictly-lowering part of End(M)."""
-    block = strictly_lower_block(m)
-    end = internal_hom(m, m)
-    sq = subquotient(end, block)
-    target = sq.sub
-    weights = m.weights()
-    comps: dict[int, list] = {}
-    if len(weights) >= 2:
-        lo, hi = weights[0], weights[-1]
-        for i, mat in m.actions.items():
-            flat_end = [ZERO] * (m.dim * m.dim)
-            touched = False
-            for a, b, c in mat.nonzero_entries():
-                wa, wb = m.weight_of(a), m.weight_of(b)
-                mult = len([p for p in range(lo, hi) if wa <= p < wb])
-                if mult:
-                    flat_end[a * m.dim + b] = mult * c
-                    touched = True
-            if touched:
-                coords = sq.corestrict(flat_end)
-                comps[i] = coords
-    return ExtClassHandle(target, {i: tuple(v) for i, v in comps.items()},
-                          hom_source=m, hom_target=m, embed=sq.inclusion)
+    classes into the strictly-lowering part of End(M).
+
+    The target is End(M) restricted to the indices k = a*dim(M) + b with
+    w(a) < w(b), ordered by (character of e_k, k).  That block is a subobject
+    because every generator has negative weight (``validate_presentation``'s
+    ``nonnegative-weight`` check).  Entry (a, b) of an action lies in
+    Hom(M/W_p M, W_p M) for the w(b) - w(a) cuts w(a) <= p < w(b)."""
+    target, incl, idx = _lower_end(m)
+    d = m.dim
+    comps = {}
+    for i, mat in m.actions.items():
+        v = tuple((m.weight_of(k % d) - m.weight_of(k // d)) * mat.data[k // d][k % d]
+                  for k in idx)
+        if any(v):
+            comps[i] = v
+    return ExtClassHandle(target, comps, hom_source=m, hom_target=m, embed=incl)
 
 
 def lower_end_class(m: RepObject, e: ExtClassHandle) -> ExtClassHandle:
@@ -557,14 +562,14 @@ def lower_end_class(m: RepObject, e: ExtClassHandle) -> ExtClassHandle:
     strictly-lowering part of End(M)."""
     if e.embed is None:
         raise ValueError("class carries no block embedding")
-    end = internal_hom(m, m)
-    sq = subquotient(end, strictly_lower_block(m))
+    target, incl, idx = _lower_end(m)
     comps = {}
     for i, v in e.comps.items():
         flat_end = e.embed.matrix.apply(list(v))
-        comps[i] = tuple(sq.corestrict(flat_end))
-    return ExtClassHandle(sq.sub, comps, hom_source=m, hom_target=m,
-                          embed=sq.inclusion)
+        if any(x != 0 for k, x in enumerate(flat_end) if k not in idx):
+            raise ValueError("class is not supported on the strictly-lowering block")
+        comps[i] = tuple(flat_end[k] for k in idx)
+    return ExtClassHandle(target, comps, hom_source=m, hom_target=m, embed=incl)
 
 
 def pushforward_class(e: ExtClassHandle, f: Morphism) -> ExtClassHandle:

@@ -12,6 +12,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .linalg import ZERO, rref_basis, vec_is_zero
 from .objects import RepObject, random_object
 from .presentations import GroupPresentation, free_graded_lie
 
@@ -111,10 +112,15 @@ def corpus(count: int, seed0: int = 0, recipes: tuple[str, ...] | None = None,
 def sample_stable_subspace(m: RepObject, target, seed: int, avoid=None,
                            tries: int = 40):
     """A random action-stable character-homogeneous subspace of a target
-    object, optionally required not to contain a given subspace."""
-    from .linalg import ZERO, rref_basis
+    object, optionally required not to contain a given subspace.
+
+    A worklist closes each random span: ``space`` is always the span of the
+    processed and queued vectors, each action maps every processed vector
+    into it, and only images that enlarge it are queued.  ``m`` is unused but
+    kept: the benchmark calls ``(target, target, seed=..., avoid=...)``."""
     rng = random.Random(seed)
     dim = target.dim
+    entries = [mat.nonzero_entries() for mat in target.actions.values()]
     for _ in range(tries):
         k = rng.randint(1, max(1, dim - 1))
         rows = []
@@ -130,20 +136,19 @@ def sample_stable_subspace(m: RepObject, target, seed: int, avoid=None,
                 rows.append(v)
         if not rows:
             continue
-        # close under the action
         space = rref_basis(rows, dim)
-        changed = True
-        while changed:
-            changed = False
-            new_rows = space.basis_rows()
-            for mat in target.actions.values():
-                for row in space.basis_rows():
-                    img = mat.apply(row)
-                    if not space.contains(img):
-                        new_rows.append(img)
-                        changed = True
-            if changed:
-                space = rref_basis(new_rows, dim)
+        queue = space.basis_rows()
+        while queue:
+            v = queue.pop()
+            for nonzero in entries:
+                img = [ZERO] * dim
+                for a, b, c in nonzero:
+                    if v[b]:
+                        img[a] += c * v[b]
+                residue = space.reduce(img)
+                if not vec_is_zero(residue):
+                    space = rref_basis(space.basis_rows() + [residue], dim)
+                    queue.append(residue)
         if space.dim in (0, dim):
             continue
         if avoid is not None and space.contains_subspace(avoid):

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .linalg import (Mat, ONE, ZERO, Subspace, commutator, intersect_subspaces,
-                     kernel_basis, vec_is_zero)
+                     kernel_basis)
 from .presentations import GroupPresentation, add_deg, dot
 
 Character = tuple[int, ...]
@@ -263,17 +263,6 @@ class Subquotient:
     inclusion: Morphism
     quotient: RepObject
     projection: Morphism
-    span: Subspace | None = None
-    reorder: Mat | None = None
-
-    def corestrict(self, v: Sequence[Fraction]) -> list[Fraction] | None:
-        """Coordinates of an ambient vector in the subobject basis, or None."""
-        if self.sub.dim == 0:
-            return [] if vec_is_zero(list(v)) else None
-        coords = self.span.coordinates_of(list(v))
-        if coords is None:
-            return None
-        return self.reorder.apply(coords)
 
 
 def subquotient(m: RepObject, s: Subspace) -> Subquotient:
@@ -345,7 +334,7 @@ def subquotient(m: RepObject, s: Subspace) -> Subquotient:
     quotient = RepObject(m.presentation, tuple(m.labels[a] + "~" for a in comp),
                          quo_chars, quo_actions)
     projection = Morphism(m, quotient, proj)
-    return Subquotient(sub, inclusion, quotient, projection, span=span, reorder=reorder)
+    return Subquotient(sub, inclusion, quotient, projection)
 
 
 def _reorder_coords(span: Subspace, rows: list[list[Fraction]]) -> Mat:

@@ -5,10 +5,14 @@ package now does faster.  Differential tests run both on the same inputs
 and require identical answers; nothing under ``src/`` imports this module.
 """
 
+import random
 from unittest import mock
 
 from panache import cohomology
-from panache.linalg import ZERO, commutator
+from panache.cohomology import ExtClassHandle
+from panache.galois import strictly_lower_block
+from panache.linalg import ZERO, Subspace, commutator, rref_basis
+from panache.objects import _reorder_coords, internal_hom, subquotient
 from panache.presentations import add_deg, standard_factorization
 
 
@@ -96,3 +100,101 @@ def recursive_bracket_name(word, gen_names):
         return gen_names[word[0]]
     u, v = standard_factorization(word)
     return f"[{recursive_bracket_name(u, gen_names)},{recursive_bracket_name(v, gen_names)}]"
+
+
+# ---------------------------------------------------------------------------
+# W_{-1}End(M) through the general subquotient
+
+
+def _lower_end_subquotient(m):
+    """The strictly-lowering block of End(M) as a ``subquotient``, with the
+    map from End coordinates to subobject coordinates (None off the block)."""
+    sq = subquotient(internal_hom(m, m), strictly_lower_block(m))
+    rows = sq.inclusion.matrix.transpose().data
+    span = Subspace.from_vectors(rows, m.dim * m.dim)
+    reorder = _reorder_coords(span, rows) if rows else None
+
+    def corestrict(v):
+        coords = span.coordinates_of(list(v))
+        if coords is None or reorder is None:
+            return coords
+        return reorder.apply(coords)
+
+    return sq, corestrict
+
+
+def total_class_by_subquotient(m):
+    """``total_class`` with its target built by ``subquotient`` and its
+    components read through the subobject's coordinates."""
+    sq, corestrict = _lower_end_subquotient(m)
+    weights = m.weights()
+    comps = {}
+    if len(weights) >= 2:
+        lo, hi = weights[0], weights[-1]
+        for i, mat in m.actions.items():
+            flat_end = [ZERO] * (m.dim * m.dim)
+            touched = False
+            for a, b, c in mat.nonzero_entries():
+                wa, wb = m.weight_of(a), m.weight_of(b)
+                mult = len([p for p in range(lo, hi) if wa <= p < wb])
+                if mult:
+                    flat_end[a * m.dim + b] = mult * c
+                    touched = True
+            if touched:
+                comps[i] = tuple(corestrict(flat_end))
+    return ExtClassHandle(sq.sub, comps, hom_source=m, hom_target=m,
+                          embed=sq.inclusion)
+
+
+def lower_end_class_by_subquotient(m, e):
+    """``lower_end_class`` through the same subquotient."""
+    sq, corestrict = _lower_end_subquotient(m)
+    comps = {i: tuple(corestrict(e.embed.matrix.apply(list(v))))
+             for i, v in e.comps.items()}
+    return ExtClassHandle(sq.sub, comps, hom_source=m, hom_target=m,
+                          embed=sq.inclusion)
+
+
+# ---------------------------------------------------------------------------
+# stable subspaces: closure by repeated full passes
+
+
+def sample_stable_subspace_fixed_point(target, seed, avoid=None, tries=40):
+    """``sample_stable_subspace`` closing each span by applying every action
+    to every basis row until a whole pass adds nothing."""
+    rng = random.Random(seed)
+    dim = target.dim
+    for _ in range(tries):
+        k = rng.randint(1, max(1, dim - 1))
+        rows = []
+        chars = sorted(target.character_set())
+        for _ in range(k):
+            chi = chars[rng.randrange(len(chars))]
+            idx = target.char_indices(chi)
+            v = [ZERO] * dim
+            for a in idx:
+                if rng.random() < 0.6:
+                    v[a] = rng.randint(-2, 2)
+            if any(x != 0 for x in v):
+                rows.append(v)
+        if not rows:
+            continue
+        space = rref_basis(rows, dim)
+        changed = True
+        while changed:
+            changed = False
+            new_rows = space.basis_rows()
+            for mat in target.actions.values():
+                for row in space.basis_rows():
+                    img = mat.apply(row)
+                    if not space.contains(img):
+                        new_rows.append(img)
+                        changed = True
+            if changed:
+                space = rref_basis(new_rows, dim)
+        if space.dim in (0, dim):
+            continue
+        if avoid is not None and space.contains_subspace(avoid):
+            continue
+        return space
+    return None

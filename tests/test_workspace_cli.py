@@ -244,8 +244,14 @@ def test_cli_save_report_appends(ws_path):
 
 
 def test_cli_usage_errors(ws_path):
+    import panache
+    # the child must import the same panache without relying on the caller's
+    # PYTHONPATH (pytest's ``pythonpath`` setting reaches only its own process)
+    src = os.path.dirname(os.path.dirname(panache.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-m", "panache.cli", "bogus"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 2
     rc, _ = run_cli(["u", "nonexistent"], ws_path)
     assert rc == 2
