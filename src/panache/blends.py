@@ -31,12 +31,15 @@ from .presentations import add_deg
 
 
 def is_large_u(m: RepObject) -> bool:
-    """Does the unipotent kernel fill the whole strictly-lowering block?"""
-    return u_of(m).space == strictly_lower_block(m)
+    """Does the unipotent kernel fill the whole strictly-lowering block?
+
+    Every generator lowers weight, so u(M) lies in the block and u_p(M) in
+    its Hom block: equality is a dimension count."""
+    return u_of(m).dim == len(strictly_lower_block(m))
 
 
 def is_large_u_p(m: RepObject, p: int) -> bool:
-    return u_p_of(m, p).space == hom_block(m, p)
+    return u_p_of(m, p).dim == len(hom_block(m, p))
 
 
 def is_totally_nonsplit(e: ExtClassHandle) -> bool:
@@ -590,8 +593,6 @@ def extract_pair(m: RepObject, b_cut: int, a_cut: int) -> CompatiblePair:
     The lower class comes from the middle filtration step, the upper one
     from the quotient; the object is attached to the extracted pair (its own
     corner blocks solve the blend equations)."""
-    from .objects import subquotient
-    from .linalg import rref_basis
     b_idx = [i for i in range(m.dim) if m.weight_of(i) <= b_cut]
     a_idx = [i for i in range(m.dim) if b_cut < m.weight_of(i) <= a_cut]
     c_idx = [i for i in range(m.dim) if m.weight_of(i) > a_cut]
@@ -599,13 +600,7 @@ def extract_pair(m: RepObject, b_cut: int, a_cut: int) -> CompatiblePair:
         raise ValueError("both cuts must separate nonempty weight layers")
     b_obj = weight_filtration(m, b_cut).source
     step = weight_filtration(m, a_cut).source
-    rows = []
-    for i in range(step.dim):
-        if step.weight_of(i) <= b_cut:
-            row = [ZERO] * step.dim
-            row[i] = ONE
-            rows.append(row)
-    a_obj = subquotient(step, rref_basis(rows, step.dim)).quotient
+    a_obj = weight_quotient(step, b_cut).target
     c_obj = weight_quotient(m, a_cut).target
     l_comps = {}
     n_comps = {}

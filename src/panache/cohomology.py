@@ -20,7 +20,7 @@ from .linalg import (IntLattice, Mat, ONE, ZERO, Subspace, kernel_basis,
                      rref_basis, solve_linear)
 from .objects import (Morphism, RepObject, _restrict, internal_hom, subquotient,
                       unit_object, weight_filtration, weight_quotient)
-from .galois import LieSubspace
+from .galois import LieSubspace, strictly_lower_block
 
 
 FlatKey = tuple[int, int]          # (generator index, basis index of X)
@@ -530,8 +530,7 @@ def _lower_end(m: RepObject) -> tuple[RepObject, Morphism, list[int]]:
     ``total_class``), with the coordinate inclusion and those indices."""
     end = internal_hom(m, m)
     d = m.dim
-    idx = sorted((k for k in range(d * d) if m.weight_of(k // d) < m.weight_of(k % d)),
-                 key=lambda k: (end.characters[k], k))
+    idx = sorted(strictly_lower_block(m), key=lambda k: (end.characters[k], k))
     target = _restrict(end, idx)
     incl = Mat.from_rows([[ONE if k == j else ZERO for j in idx] for k in range(d * d)])
     return target, Morphism(target, end, incl), idx
@@ -606,15 +605,6 @@ def transport_to_target(e: ExtClassHandle, space: Subspace) -> Subspace:
         rows.append(sol.particular)
     return (Subspace.from_vectors(rows, e.target.dim)
             if rows else Subspace.zero(e.target.dim))
-
-
-def embed_subspace(e: ExtClassHandle, space: Subspace) -> Subspace:
-    """Image in End coordinates of a subspace of the class target."""
-    if e.embed is None:
-        raise ValueError("class carries no block embedding")
-    rows = [e.embed.matrix.apply(list(r)) for r in space.basis]
-    return (Subspace.from_vectors(rows, e.embed.target.dim)
-            if rows else Subspace.zero(e.embed.target.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -794,20 +784,7 @@ class H2Class:
 
     def is_zero(self) -> bool:
         """Membership of the cochain in the span of one-cochain differentials."""
-        x = self.target
-        layout = _layout2(x)
-        pos = {key: k for k, key in enumerate(layout)}
-        flat: dict = {}
-        for (i, j), v in self.comps.items():
-            for a, c in enumerate(v):
-                if c != 0:
-                    key, sign = _pair_lookup(pos, i, j, a)
-                    if key is None:
-                        raise ValueError("two-cochain outside the equivariant layout")
-                    flat[key] = flat.get(key, ZERO) + sign * c
-        image = _d1_image_rows(x, pos)
-        reduced = _sparse_reduce(flat, image)
-        return not any(v != 0 for k, v in reduced.items())
+        return not self.normal_form()
 
     def normal_form(self) -> dict:
         x = self.target
@@ -818,6 +795,8 @@ class H2Class:
             for a, c in enumerate(v):
                 if c != 0:
                     key, sign = _pair_lookup(pos, i, j, a)
+                    if key is None:
+                        raise ValueError("two-cochain outside the equivariant layout")
                     flat[key] = flat.get(key, ZERO) + sign * c
         reduced = _sparse_reduce(flat, _d1_image_rows(x, pos))
         return {k: v for k, v in reduced.items() if v != 0}

@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import (Mat, ONE, ZERO, Subspace, commutator, intersect_subspaces,
-                     kernel_basis, rref_basis)
+from .linalg import Mat, ONE, ZERO, Subspace, commutator, kernel_basis, rref_basis
 from .objects import RepObject
 
 @dataclass
@@ -41,32 +40,29 @@ class LieSubspace:
         return True
 
 
-def end_block_subspace(m: RepObject, predicate) -> Subspace:
-    """Coordinate subspace of End(fiber) on the entries (a, b) selected by
-    predicate(weight_a, weight_b)."""
+def end_block_subspace(m: RepObject, predicate) -> list[int]:
+    """Coordinate block of End(fiber) on the entries (a, b) selected by
+    predicate(weight_a, weight_b), as its sorted flat indices a * dim + b.
+
+    A block is a coordinate subspace in the weight basis, so the index list
+    is all of it: meet a subspace with it through
+    ``Subspace.meet_coordinates``, and take its dimension as its length."""
     d = m.dim
-    rows = []
-    for a in range(d):
-        wa = m.weight_of(a)
-        for b in range(d):
-            if predicate(wa, m.weight_of(b)):
-                v = [ZERO] * (d * d)
-                v[a * d + b] = ONE
-                rows.append(v)
-    return Subspace.from_vectors(rows, d * d) if rows else Subspace.zero(d * d)
+    w = [m.weight_of(a) for a in range(d)]
+    return [a * d + b for a in range(d) for b in range(d) if predicate(w[a], w[b])]
 
 
-def strictly_lower_block(m: RepObject) -> Subspace:
+def strictly_lower_block(m: RepObject) -> list[int]:
     """W_{-1} End block: strictly weight-lowering matrices."""
     return end_block_subspace(m, lambda wa, wb: wa < wb)
 
 
-def hom_block(m: RepObject, p: int) -> Subspace:
+def hom_block(m: RepObject, p: int) -> list[int]:
     """Hom(M/W_p M, W_p M) block: entries from weight > p into weight <= p."""
     return end_block_subspace(m, lambda wa, wb: wa <= p < wb)
 
 
-def geq_block(m: RepObject, q: int) -> Subspace:
+def geq_block(m: RepObject, q: int) -> list[int]:
     """Hom(M/W_q M, M) ∩ W_{-1}End block: strictly lowering entries that
     vanish on W_q M."""
     return end_block_subspace(m, lambda wa, wb: wa < wb and wb > q)
@@ -126,13 +122,13 @@ def relative_kernel_lie(m: RepObject, n: RepObject) -> LieSubspace:
 
 
 def u_p_of(m: RepObject, p: int) -> LieSubspace:
-    u = u_of(m)
-    return LieSubspace(m, intersect_subspaces(u.space, hom_block(m, p)), bracket_closed=True)
+    return LieSubspace(m, u_of(m).space.meet_coordinates(hom_block(m, p)),
+                       bracket_closed=True)
 
 
 def u_geq_of(m: RepObject, q: int) -> LieSubspace:
-    u = u_of(m)
-    return LieSubspace(m, intersect_subspaces(u.space, geq_block(m, q)), bracket_closed=True)
+    return LieSubspace(m, u_of(m).space.meet_coordinates(geq_block(m, q)),
+                       bracket_closed=True)
 
 
 def galois_dim(m: RepObject) -> int:
@@ -152,14 +148,7 @@ def gr_leading_span(m: RepObject, s: LieSubspace | Subspace) -> Subspace:
     weights = sorted(set(coord_weight))
     out_rows: list[list[Fraction]] = []
     for n in weights:
-        filt_rows = []
-        for k, wt in enumerate(coord_weight):
-            if wt <= n:
-                v = [ZERO] * (d * d)
-                v[k] = ONE
-                filt_rows.append(v)
-        filt = Subspace.from_vectors(filt_rows, d * d) if filt_rows else Subspace.zero(d * d)
-        part = intersect_subspaces(space, filt)
+        part = space.meet_coordinates([k for k, wt in enumerate(coord_weight) if wt <= n])
         for row in part.basis:
             lead = [x if coord_weight[k] == n else ZERO for k, x in enumerate(row)]
             if any(x != 0 for x in lead):

@@ -373,6 +373,28 @@ class Subspace:
                 v = [x - c * y for x, y in zip(v, row)]
         return v
 
+    def meet_coordinates(self, indices: Sequence[int]) -> Subspace:
+        """Intersection with the coordinate subspace spanned by e_i, i in
+        indices.
+
+        One RREF with the other columns ordered first: its rows that vanish
+        on them span the intersection, and they are already in RREF in the
+        original column order."""
+        n = self.ambient_dim
+        keep = set(indices)
+        order = [j for j in range(n) if j not in keep] + sorted(keep)
+        cut = n - len(keep)
+        rows = rref_rows([[row[j] for j in order] for row in self.basis])
+        out = []
+        for row in rows:
+            if any(row[:cut]):
+                continue
+            v = [ZERO] * n
+            for j, x in zip(order[cut:], row[cut:]):
+                v[j] = x
+            out.append(tuple(v))
+        return Subspace(n, tuple(out))
+
 
 def rref_basis(vectors: Iterable[Sequence], ambient_dim: int | None = None) -> Subspace:
     """Canonical RREF basis of the span; idempotent on its own output."""

@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import (Mat, ONE, ZERO, Subspace, commutator, intersect_subspaces,
-                     kernel_basis)
+from .linalg import Mat, ONE, ZERO, Subspace, commutator, kernel_basis
 from .presentations import GroupPresentation, add_deg, dot
 
 Character = tuple[int, ...]
@@ -267,58 +266,53 @@ class Subquotient:
 
 def subquotient(m: RepObject, s: Subspace) -> Subquotient:
     """Subobject on an action-stable character-homogeneous subspace, plus the
-    quotient, with canonical maps."""
+    quotient, with canonical maps.
+
+    s is character-homogeneous exactly when each of its RREF rows lies on
+    one character; its per-character RREFs are then those rows grouped by
+    character.  So the subobject basis is ``s.basis`` reordered by
+    character, keeping the RREF order within a character."""
     if s.ambient_dim != m.dim:
         raise ValueError("ambient dimension mismatch")
-    # homogeneity: the span must decompose across characters
-    pieces: list[tuple[Character, list[Fraction]]] = []
-    total = 0
-    for chi in sorted(m.character_set()):
-        coords = m.char_indices(chi)
-        block = Subspace.from_vectors(
-            [[ONE if a == c else ZERO for a in range(m.dim)] for c in coords], m.dim)
-        part = intersect_subspaces(s, block)
-        total += part.dim
-        for row in part.basis:
-            pieces.append((chi, list(row)))
-    if total != s.dim:
-        raise ValueError("subspace is not character-homogeneous")
+    pivots = s.pivots()
+    row_chars = [m.characters[p] for p in pivots]
+    for row, chi in zip(s.basis, row_chars):
+        if any(x != 0 and m.characters[a] != chi for a, x in enumerate(row)):
+            raise ValueError("subspace is not character-homogeneous")
     for i, a in m.actions.items():
         for row in s.basis:
             if not s.contains(a.apply(list(row))):
                 raise ValueError(
                     f"subspace is not stable under {m.presentation.name_of(i)}")
 
-    basis_rows = [v for _, v in pieces]
-    sub_chars = tuple(chi for chi, _ in pieces)
+    order = sorted(range(s.dim), key=lambda r: row_chars[r])
+    basis_rows = [list(s.basis[r]) for r in order]
+    sub_chars = tuple(row_chars[r] for r in order)
     k = len(basis_rows)
     incl = Mat.zeros(m.dim, k)
     for col, v in enumerate(basis_rows):
         for a in range(m.dim):
             incl.data[a][col] = v[a]
-    span = Subspace.from_vectors(basis_rows, m.dim) if basis_rows else Subspace.zero(m.dim)
-    reorder = _reorder_coords(span, basis_rows) if k else Mat.zeros(0, 0)
     sub_actions = {}
     for i, a in m.actions.items():
         mat = Mat.zeros(k, k)
         for col, v in enumerate(basis_rows):
-            coords = span.coordinates_of(a.apply(v))
-            full = reorder.apply(coords)
-            for rr in range(k):
-                mat.data[rr][col] = full[rr]
+            coords = s.coordinates_of(a.apply(v))
+            for rr, r in enumerate(order):
+                mat.data[rr][col] = coords[r]
         if not mat.is_zero():
             sub_actions[i] = mat
     sub = RepObject(m.presentation, tuple(f"s{c}" for c in range(k)), sub_chars, sub_actions)
     inclusion = Morphism(sub, m, incl)
 
     # quotient on the complement of the pivot coordinates
-    pivots = set(span.pivots())
-    comp = [a for a in range(m.dim) if a not in pivots]
+    pivot_set = set(pivots)
+    comp = [a for a in range(m.dim) if a not in pivot_set]
     q = len(comp)
     proj = Mat.zeros(q, m.dim)
     for row, cidx in enumerate(comp):
         proj.data[row][cidx] = ONE
-    for piv_row, piv_col in zip(span.basis, span.pivots()):
+    for piv_row, piv_col in zip(s.basis, pivots):
         # e_{piv_col} = (basis row) - (its non-pivot tail); reduce classes accordingly
         for row, cidx in enumerate(comp):
             proj.data[row][piv_col] = -piv_row[cidx]
@@ -335,19 +329,6 @@ def subquotient(m: RepObject, s: Subspace) -> Subquotient:
                          quo_chars, quo_actions)
     projection = Morphism(m, quotient, proj)
     return Subquotient(sub, inclusion, quotient, projection)
-
-
-def _reorder_coords(span: Subspace, rows: list[list[Fraction]]) -> Mat:
-    """Change of coordinates from the RREF basis of span to the given rows."""
-    k = len(rows)
-    # rows expressed in RREF coordinates form the matrix R with rows = coords
-    r = Mat.zeros(k, k)
-    for i, v in enumerate(rows):
-        coords = span.coordinates_of(v)
-        for j, c in enumerate(coords):
-            r.data[i][j] = c
-    # vector with RREF coords x corresponds to homogeneous coords y with Rᵗ y = x
-    return r.transpose().inverse()
 
 
 # ---------------------------------------------------------------------------

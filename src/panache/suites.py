@@ -18,7 +18,7 @@ from .cohomology import (e_p_class, ext1_class, is_split, originates_from,
 from .corpus import corpus, sample_stable_subspace
 from .galois import (gr_leading_span, end_block_subspace, u_geq_of, u_of, u_p_of,
                      relative_kernel_lie)
-from .linalg import Subspace, intersect_subspaces
+from .linalg import Subspace
 from .objects import (RepObject, direct_sum, gr_object, simple_character,
                       unit_object, weight_filtration, weight_quotient)
 from .presentations import abelian_presentation
@@ -268,8 +268,8 @@ def suite_gr_decomposition(count: int = 100, seed: int = 0) -> SuiteResult:
         j1 = end_block_subspace(m, lambda wa, wb: wa <= p < wb)
         j2 = end_block_subspace(
             m, lambda wa, wb: wa < wb and (q < wb <= p or wa > p))
-        part1 = intersect_subspaces(gr, j1)
-        part2 = intersect_subspaces(gr, j2)
+        part1 = gr.meet_coordinates(j1)
+        part2 = gr.meet_coordinates(j2)
         ok = part1.add(part2) == gr
         res.record(ok, recipe=inst.recipe, seed=inst.seed, p=p, q=q,
                    dims=(gr.dim, part1.dim, part2.dim))

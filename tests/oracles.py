@@ -10,10 +10,111 @@ from unittest import mock
 
 from panache import cohomology
 from panache.cohomology import ExtClassHandle
-from panache.galois import strictly_lower_block
-from panache.linalg import ZERO, Subspace, commutator, rref_basis
-from panache.objects import _reorder_coords, internal_hom, subquotient
+from panache.galois import hom_block, strictly_lower_block, u_of, u_p_of
+from panache.linalg import (ONE, ZERO, Mat, Subspace, commutator, intersect_subspaces,
+                            rref_basis)
+from panache.objects import Morphism, RepObject, Subquotient, internal_hom
 from panache.presentations import add_deg, standard_factorization
+
+
+# ---------------------------------------------------------------------------
+# coordinate blocks of End(M) as materialised subspaces
+
+
+def coordinate_subspace(indices, n):
+    """The span of e_i, i in indices, as one identity row per index."""
+    rows = [[ONE if a == i else ZERO for a in range(n)] for i in indices]
+    return Subspace.from_vectors(rows, n) if rows else Subspace.zero(n)
+
+
+def is_large_u_by_subspace(m):
+    """``is_large_u`` as equality with the materialised block."""
+    return u_of(m).space == coordinate_subspace(strictly_lower_block(m), m.dim * m.dim)
+
+
+def is_large_u_p_by_subspace(m, p):
+    """``is_large_u_p`` as equality with the materialised block."""
+    return u_p_of(m, p).space == coordinate_subspace(hom_block(m, p), m.dim * m.dim)
+
+
+# ---------------------------------------------------------------------------
+# subquotients through one intersection per character
+
+
+def subquotient_by_intersection(m, s):
+    """``subquotient`` finding the per-character pieces of s by intersecting
+    it with one materialised character block each, and the subobject
+    coordinates through a matrix inverse."""
+    if s.ambient_dim != m.dim:
+        raise ValueError("ambient dimension mismatch")
+    pieces = []
+    total = 0
+    for chi in sorted(m.character_set()):
+        part = intersect_subspaces(s, coordinate_subspace(m.char_indices(chi), m.dim))
+        total += part.dim
+        for row in part.basis:
+            pieces.append((chi, list(row)))
+    if total != s.dim:
+        raise ValueError("subspace is not character-homogeneous")
+    for i, a in m.actions.items():
+        for row in s.basis:
+            if not s.contains(a.apply(list(row))):
+                raise ValueError(
+                    f"subspace is not stable under {m.presentation.name_of(i)}")
+
+    basis_rows = [v for _, v in pieces]
+    sub_chars = tuple(chi for chi, _ in pieces)
+    k = len(basis_rows)
+    incl = Mat.zeros(m.dim, k)
+    for col, v in enumerate(basis_rows):
+        for a in range(m.dim):
+            incl.data[a][col] = v[a]
+    span = Subspace.from_vectors(basis_rows, m.dim) if basis_rows else Subspace.zero(m.dim)
+    reorder = _reorder_coords(span, basis_rows) if k else Mat.zeros(0, 0)
+    sub_actions = {}
+    for i, a in m.actions.items():
+        mat = Mat.zeros(k, k)
+        for col, v in enumerate(basis_rows):
+            coords = span.coordinates_of(a.apply(v))
+            full = reorder.apply(coords)
+            for rr in range(k):
+                mat.data[rr][col] = full[rr]
+        if not mat.is_zero():
+            sub_actions[i] = mat
+    sub = RepObject(m.presentation, tuple(f"s{c}" for c in range(k)), sub_chars, sub_actions)
+    inclusion = Morphism(sub, m, incl)
+
+    pivots = set(span.pivots())
+    comp = [a for a in range(m.dim) if a not in pivots]
+    q = len(comp)
+    proj = Mat.zeros(q, m.dim)
+    for row, cidx in enumerate(comp):
+        proj.data[row][cidx] = ONE
+    for piv_row, piv_col in zip(span.basis, span.pivots()):
+        for row, cidx in enumerate(comp):
+            proj.data[row][piv_col] = -piv_row[cidx]
+    emb = Mat.zeros(m.dim, q)
+    for col, cidx in enumerate(comp):
+        emb.data[cidx][col] = ONE
+    quo_actions = {}
+    for i, a in m.actions.items():
+        mat = proj.matmul(a).matmul(emb)
+        if not mat.is_zero():
+            quo_actions[i] = mat
+    quotient = RepObject(m.presentation, tuple(m.labels[a] + "~" for a in comp),
+                         tuple(m.characters[a] for a in comp), quo_actions)
+    return Subquotient(sub, inclusion, quotient, Morphism(m, quotient, proj))
+
+
+def _reorder_coords(span, rows):
+    """Change of coordinates from the RREF basis of span to the given rows."""
+    k = len(rows)
+    r = Mat.zeros(k, k)
+    for i, v in enumerate(rows):
+        for j, c in enumerate(span.coordinates_of(v)):
+            r.data[i][j] = c
+    # a vector with RREF coords x has coords y in the rows with Rᵗ y = x
+    return r.transpose().inverse()
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +210,8 @@ def recursive_bracket_name(word, gen_names):
 def _lower_end_subquotient(m):
     """The strictly-lowering block of End(M) as a ``subquotient``, with the
     map from End coordinates to subobject coordinates (None off the block)."""
-    sq = subquotient(internal_hom(m, m), strictly_lower_block(m))
+    sq = subquotient_by_intersection(
+        internal_hom(m, m), coordinate_subspace(strictly_lower_block(m), m.dim * m.dim))
     rows = sq.inclusion.matrix.transpose().data
     span = Subspace.from_vectors(rows, m.dim * m.dim)
     reorder = _reorder_coords(span, rows) if rows else None

@@ -4,13 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from panache.cohomology import (ExtClassHandle, dagger_object, e_p_class,
-                                embed_subspace, exp_ratio, ext1_class,
+from panache.cohomology import (ExtClassHandle, H2Class, dagger_object,
+                                e_p_class, exp_ratio, ext1_class,
                                 extension_object, h1_basis, h2_basis, is_split,
                                 in_subcategory, lower_end_class,
                                 min_split_support, nilpotent_exp, nilpotent_log,
                                 originates_from, pushforward_class,
-                                quotient_class, total_class, yoneda_compose)
+                                quotient_class, total_class,
+                                transport_to_target, yoneda_compose)
 from panache.galois import u_of, u_p_of
 from panache.linalg import Mat, Subspace
 from panache.objects import (Morphism, RepObject, direct_sum, gr_object,
@@ -246,13 +247,12 @@ def test_min_split_support(kummer):
 
 def test_min_split_support_is_block_kernel_two_weights(chain_presentation):
     """For two-weight instances the minimal support equals the span of the
-    action matrices viewed inside the block."""
+    action matrices, read in the block target's coordinates."""
     p = chain_presentation
     for seed in range(8):
         m = random_object(p, [0, 1, 1], 0.8, seed=seed)
         e = e_p_class(m, -2)
-        support = embed_subspace(e, min_split_support(e))
-        assert support == u_of(m).space
+        assert min_split_support(e) == transport_to_target(e, u_of(m).space)
 
 
 def test_lemma_quotient_equivalences(chain_presentation):
@@ -297,6 +297,17 @@ def test_yoneda_normal_form(rank_two_fixture):
     n_bad = ext1_class(c, a, {0: [0], 1: [1]})
     nf = yoneda_compose(l_cls, n_bad).normal_form()
     assert nf  # nonzero in cohomology
+
+
+def test_h2_out_of_layout_cochain_raises(rank_two_fixture):
+    """A pair component on a character that no generator pair reaches has
+    no place in the layout: both readings of the class refuse it."""
+    _, a, _, _ = rank_two_fixture
+    cls = H2Class(a, {(0, 1): (1,)})
+    with pytest.raises(ValueError, match="outside the equivariant layout"):
+        cls.normal_form()
+    with pytest.raises(ValueError, match="outside the equivariant layout"):
+        cls.is_zero()
 
 
 # -- exponentials -----------------------------------------------------------

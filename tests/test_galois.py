@@ -10,6 +10,8 @@ from panache.objects import (RepObject, direct_sum, gr_object, random_object,
                              unit_object, weight_filtration, weight_quotient)
 from panache.presentations import free_graded_lie, tate_convention
 
+from oracles import coordinate_subspace
+
 
 def tate_free(degrees, bound, names=None):
     rank, weight = tate_convention()
@@ -46,7 +48,7 @@ def test_u_three_step_shape():
     assert m.validate() == []
     u = u_of(m)
     assert u.dim == 3
-    assert u.space == strictly_lower_block(m)
+    assert u.space == coordinate_subspace(strictly_lower_block(m), m.dim ** 2)
     assert u.check_bracket_closed()
 
 
@@ -81,14 +83,16 @@ def test_relative_kernel_sees_torus_directions():
 def test_u_p_edges(kummer):
     assert u_p_of(kummer, 0).dim == 0
     assert u_p_of(kummer, -2).dim == 1
-    assert u_p_of(kummer, -2).space == hom_block(kummer, -2)
+    assert u_p_of(kummer, -2).space == coordinate_subspace(hom_block(kummer, -2),
+                                                            kummer.dim ** 2)
 
 
 def test_u_geq_counts_blocks():
     p = tate_free([(1,), (1,)], -4, names=["x", "y"])
     m = random_object(p, [0, 1, 2], 0.95, seed=5)
     assert u_geq_of(m, -4).dim >= 2
-    assert geq_block(m, -4).contains_subspace(u_geq_of(m, -4).space)
+    block = coordinate_subspace(geq_block(m, -4), m.dim ** 2)
+    assert block.contains_subspace(u_geq_of(m, -4).space)
 
 
 def test_galois_dim_examples(kummer):
@@ -129,7 +133,8 @@ def test_u_contained_in_lower_block_everywhere():
     p = free_graded_lie(1, (-1,), [(1,), (2,)], -3)
     for seed in range(8):
         m = random_object(p, [0, 1, 3], 0.8, seed=seed)
-        assert strictly_lower_block(m).contains_subspace(u_of(m).space)
+        block = coordinate_subspace(strictly_lower_block(m), m.dim ** 2)
+        assert block.contains_subspace(u_of(m).space)
 
 
 def test_u_geq_matches_relative_kernel_on_corpus():
