@@ -571,17 +571,10 @@ def _pair_equivalent_random(p1, p2, trials, seed) -> EquivalenceResult:
     for _ in range(trials):
         fb, fa, fc = sample("b", p1.b), sample("a", p1.a), sample("c", p1.c)
         try:
-            fa_inv = fa.inverse()
-            fb_inv = fb.inverse()
+            cand = pair_act(p1, fb, fa, fc)
         except ValueError:
             continue
-        l2 = {i: tuple(fb_inv.matmul(Mat.unflatten(list(v), p1.b.dim, p1.a.dim)).matmul(fa).flat())
-              for i, v in p1.l_class.comps.items()}
-        n2 = {i: tuple(fa_inv.matmul(Mat.unflatten(list(v), p1.a.dim, p1.c.dim)).matmul(fc).flat())
-              for i, v in p1.n_class.comps.items()}
-        cand_l = ext1_class(p1.a, p1.b, l2)
-        cand_n = ext1_class(p1.c, p1.a, n2)
-        if cand_l.same_class(p2.l_class) and cand_n.same_class(p2.n_class):
+        if cand.l_class.same_class(p2.l_class) and cand.n_class.same_class(p2.n_class):
             return EquivalenceResult("equivalent")
     return EquivalenceResult("unknown", reason="random search exhausted")
 

@@ -222,9 +222,7 @@ def _dispatch(args) -> int:
         elif args.quotient_by == "up":
             e = quotient_class(e, u_p_of(m, args.p))
         elif args.quotient_by is not None:
-            with open(args.quotient_by, "r", encoding="utf-8") as fh:
-                vectors = [[parse_rat(x) for x in row] for row in json.load(fh)]
-            e = quotient_class(e, rref_basis(vectors, len(vectors[0])))
+            e = _quotient_by_file(e, m, args.quotient_by)
         verdict = is_split(e)
         report = {"p": args.p, "target_dim": e.target.dim,
                   "class_zero": e.is_zero_class(), **_split_report(verdict)}
@@ -394,6 +392,37 @@ def _search_pattern(pattern: str, degrees: str | None) -> tuple[list[int], list[
         raise WorkspaceError("search-counterexample.--degrees",
                              f"degrees must be positive, got {degrees!r}")
     return weights, gen_degrees
+
+
+def _quotient_by_file(e, m, path: str):
+    """Quotient a cut class by the span in the --quotient-by file of ext: a
+    non-empty JSON list of equal-length rows of rational strings, in the
+    class target's coordinates or in End(M)'s."""
+    field_path = "ext.--quotient-by"
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            rows = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise WorkspaceError(field_path, f"cannot read {path!r}: {exc}")
+    if not isinstance(rows, list) or not rows:
+        raise WorkspaceError(field_path, "expected a non-empty list of rows")
+    if not all(isinstance(row, list) for row in rows) or len({len(row) for row in rows}) != 1:
+        raise WorkspaceError(field_path, "expected rows that are lists of equal length")
+    if not all(isinstance(x, str) for row in rows for x in row):
+        raise WorkspaceError(field_path, "entries must be rational strings")
+    try:
+        vectors = [[parse_rat(x) for x in row] for row in rows]
+    except ValueError as exc:
+        raise WorkspaceError(field_path, f"entries must be rational strings: {exc}")
+    n = len(rows[0])
+    if n not in (e.target.dim, m.dim * m.dim):
+        raise WorkspaceError(field_path,
+                             f"rows have length {n}; expected the class target's "
+                             f"dimension {e.target.dim} or dim(M)^2 = {m.dim * m.dim}")
+    try:
+        return quotient_class(e, rref_basis(vectors, n))
+    except ValueError as exc:
+        raise WorkspaceError(field_path, str(exc))
 
 
 def _theorem1_report(m, p: int, samples: int, seed: int) -> dict:

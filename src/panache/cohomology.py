@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 from .linalg import (IntLattice, Mat, ONE, ZERO, Subspace, kernel_basis,
                      rref_basis, solve_linear)
-from .objects import (Morphism, RepObject, _restrict, internal_hom, subquotient,
+from .objects import (Morphism, RepObject, _restrict, internal_hom, quotient_by,
                       unit_object, weight_filtration, weight_quotient)
 from .galois import LieSubspace, strictly_lower_block
 
@@ -559,16 +559,40 @@ def total_class(m: RepObject) -> ExtClassHandle:
 def lower_end_class(m: RepObject, e: ExtClassHandle) -> ExtClassHandle:
     """Pushforward of a block class along its embedding into the
     strictly-lowering part of End(M)."""
-    if e.embed is None:
-        raise ValueError("class carries no block embedding")
+    pos = _block_positions(e)
     target, incl, idx = _lower_end(m)
+    where = {k: j for j, k in enumerate(idx)}
     comps = {}
     for i, v in e.comps.items():
-        flat_end = e.embed.matrix.apply(list(v))
-        if any(x != 0 for k, x in enumerate(flat_end) if k not in idx):
-            raise ValueError("class is not supported on the strictly-lowering block")
-        comps[i] = tuple(flat_end[k] for k in idx)
+        out = [ZERO] * len(idx)
+        for j, x in enumerate(v):
+            if x:
+                col = where.get(pos[j])
+                if col is None:
+                    raise ValueError("class is not supported on the strictly-lowering block")
+                out[col] = x
+        comps[i] = tuple(out)
     return ExtClassHandle(target, comps, hom_source=m, hom_target=m, embed=incl)
+
+
+def _block_positions(e: ExtClassHandle) -> list[int]:
+    """The End(M) index of each target coordinate of a block class.
+
+    Every embedding built here is a coordinate inclusion (``e_p_class``,
+    ``_lower_end``): each column holds one ONE and nothing else."""
+    if e.embed is None:
+        raise ValueError("class carries no block embedding")
+    mat = e.embed.matrix
+    pos: list[int | None] = [None] * mat.cols
+    for k, row in enumerate(mat.data):
+        for j, x in enumerate(row):
+            if x:
+                if x != ONE or pos[j] is not None:
+                    raise ValueError("block embedding is not a coordinate inclusion")
+                pos[j] = k
+    if None in pos:
+        raise ValueError("block embedding is not a coordinate inclusion")
+    return pos
 
 
 def pushforward_class(e: ExtClassHandle, f: Morphism) -> ExtClassHandle:
@@ -585,24 +609,38 @@ def quotient_class(e: ExtClassHandle, a: Subspace | LieSubspace) -> ExtClassHand
 
     The subspace may be given either in the target's own coordinates or, for
     block classes carrying an embedding into End(M), in End coordinates (in
-    which case it must lie inside the embedded block)."""
+    which case it must lie inside the embedded block).  That embedding must
+    be a coordinate inclusion (see ``transport_to_target``).  Component c_i
+    of the image is the reduction of c_i modulo the subspace, read at its
+    non-pivot coordinates (``objects.quotient_by``)."""
     space = a.space if isinstance(a, LieSubspace) else a
-    space = transport_to_target(e, space)
-    sq = subquotient(e.target, space)
-    return pushforward_class(e, sq.projection)
+    quotient, project = quotient_by(e.target, transport_to_target(e, space))
+    return ExtClassHandle(quotient, {i: project(v) for i, v in e.comps.items()})
 
 
 def transport_to_target(e: ExtClassHandle, space: Subspace) -> Subspace:
+    """A subspace in the class target's coordinates, given in them or in
+    End(M) coordinates.
+
+    A block class's embedding into End(M) is a coordinate inclusion, one ONE
+    per column, so an End-coordinate row moves by index lookup; an entry off
+    the block means the row is not in the image.  Any other embedding is
+    rejected."""
     if space.ambient_dim == e.target.dim:
         return space
     if e.embed is None or space.ambient_dim != e.embed.target.dim:
         raise ValueError("subspace coordinates do not match the class target")
+    where = {k: j for j, k in enumerate(_block_positions(e))}
     rows = []
     for row in space.basis:
-        sol = solve_linear(e.embed.matrix, list(row))
-        if not sol.feasible:
-            raise ValueError("subspace is not contained in the block target")
-        rows.append(sol.particular)
+        v = [ZERO] * e.target.dim
+        for k, x in enumerate(row):
+            if x:
+                col = where.get(k)
+                if col is None:
+                    raise ValueError("subspace is not contained in the block target")
+                v[col] = x
+        rows.append(v)
     return (Subspace.from_vectors(rows, e.target.dim)
             if rows else Subspace.zero(e.target.dim))
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .linalg import Mat, ONE, ZERO, Subspace, commutator, kernel_basis
 from .presentations import GroupPresentation, add_deg, dot
@@ -264,27 +264,76 @@ class Subquotient:
     projection: Morphism
 
 
+def quotient_by(m: RepObject, s: Subspace) -> tuple[RepObject, Callable]:
+    """Quotient of m by an action-stable character-homogeneous subspace s,
+    with the map sending a vector of m to its quotient coordinates.
+
+    The quotient basis is the images of e_a at the non-pivot coordinates a
+    of s.  A vector's class is its reduction ``s.reduce(v)`` read at those
+    coordinates; since an RREF row vanishes at every other row's pivot, the
+    reduction subtracts v[p] times row p for each pivot p.  s is
+    character-homogeneous exactly when each RREF row lies on one character.
+    Rows are kept sparse and each action is read from its nonzero entries,
+    so stability costs one reduction per action and basis row."""
+    if s.ambient_dim != m.dim:
+        raise ValueError("ambient dimension mismatch")
+    tails = {}
+    for row, p in zip(s.basis, s.pivots()):
+        tail = [(a, x) for a, x in enumerate(row) if x and a != p]
+        if any(m.characters[a] != m.characters[p] for a, _ in tail):
+            raise ValueError("subspace is not character-homogeneous")
+        tails[p] = tail
+
+    def reduce(v: dict) -> dict:
+        out = {a: x for a, x in v.items() if a not in tails}
+        for p, c in v.items():
+            for a, x in tails.get(p, ()):
+                out[a] = out.get(a, ZERO) - c * x
+        return out
+
+    columns = {}
+    for i, mat in m.actions.items():
+        cols: dict[int, list] = {}
+        for r, c, x in mat.nonzero_entries():
+            cols.setdefault(c, []).append((r, x))
+        columns[i] = cols
+        for p, tail in tails.items():
+            image: dict[int, Fraction] = {}
+            for c, y in [(p, ONE)] + tail:
+                for r, x in cols.get(c, ()):
+                    image[r] = image.get(r, ZERO) + x * y
+            if any(reduce(image).values()):
+                raise ValueError(
+                    f"subspace is not stable under {m.presentation.name_of(i)}")
+
+    comp = [a for a in range(m.dim) if a not in tails]
+    where = {a: j for j, a in enumerate(comp)}
+    quo_actions = {}
+    for i, cols in columns.items():
+        mat = Mat.zeros(len(comp), len(comp))
+        for j, c in enumerate(comp):
+            for a, x in reduce(dict(cols.get(c, ()))).items():
+                mat.data[where[a]][j] = x
+        quo_actions[i] = mat
+    quotient = RepObject(m.presentation, tuple(m.labels[a] + "~" for a in comp),
+                         tuple(m.characters[a] for a in comp), quo_actions)
+
+    def project(v: Sequence[Fraction]) -> tuple[Fraction, ...]:
+        out = reduce({a: x for a, x in enumerate(v) if x})
+        return tuple(out.get(a, ZERO) for a in comp)
+
+    return quotient, project
+
+
 def subquotient(m: RepObject, s: Subspace) -> Subquotient:
     """Subobject on an action-stable character-homogeneous subspace, plus the
     quotient, with canonical maps.
 
-    s is character-homogeneous exactly when each of its RREF rows lies on
-    one character; its per-character RREFs are then those rows grouped by
-    character.  So the subobject basis is ``s.basis`` reordered by
-    character, keeping the RREF order within a character."""
-    if s.ambient_dim != m.dim:
-        raise ValueError("ambient dimension mismatch")
-    pivots = s.pivots()
-    row_chars = [m.characters[p] for p in pivots]
-    for row, chi in zip(s.basis, row_chars):
-        if any(x != 0 and m.characters[a] != chi for a, x in enumerate(row)):
-            raise ValueError("subspace is not character-homogeneous")
-    for i, a in m.actions.items():
-        for row in s.basis:
-            if not s.contains(a.apply(list(row))):
-                raise ValueError(
-                    f"subspace is not stable under {m.presentation.name_of(i)}")
-
+    The quotient and its projection come from ``quotient_by``, which also
+    checks homogeneity and stability.  The subobject basis is ``s.basis``
+    reordered by character, keeping the RREF order within a character."""
+    quotient, project = quotient_by(m, s)
+    row_chars = [m.characters[p] for p in s.pivots()]
     order = sorted(range(s.dim), key=lambda r: row_chars[r])
     basis_rows = [list(s.basis[r]) for r in order]
     sub_chars = tuple(row_chars[r] for r in order)
@@ -303,32 +352,9 @@ def subquotient(m: RepObject, s: Subspace) -> Subquotient:
         if not mat.is_zero():
             sub_actions[i] = mat
     sub = RepObject(m.presentation, tuple(f"s{c}" for c in range(k)), sub_chars, sub_actions)
-    inclusion = Morphism(sub, m, incl)
-
-    # quotient on the complement of the pivot coordinates
-    pivot_set = set(pivots)
-    comp = [a for a in range(m.dim) if a not in pivot_set]
-    q = len(comp)
-    proj = Mat.zeros(q, m.dim)
-    for row, cidx in enumerate(comp):
-        proj.data[row][cidx] = ONE
-    for piv_row, piv_col in zip(s.basis, pivots):
-        # e_{piv_col} = (basis row) - (its non-pivot tail); reduce classes accordingly
-        for row, cidx in enumerate(comp):
-            proj.data[row][piv_col] = -piv_row[cidx]
-    emb = Mat.zeros(m.dim, q)
-    for col, cidx in enumerate(comp):
-        emb.data[cidx][col] = ONE
-    quo_chars = tuple(m.characters[a] for a in comp)
-    quo_actions = {}
-    for i, a in m.actions.items():
-        mat = proj.matmul(a).matmul(emb)
-        if not mat.is_zero():
-            quo_actions[i] = mat
-    quotient = RepObject(m.presentation, tuple(m.labels[a] + "~" for a in comp),
-                         quo_chars, quo_actions)
-    projection = Morphism(m, quotient, proj)
-    return Subquotient(sub, inclusion, quotient, projection)
+    columns = [project([ONE if b == a else ZERO for b in range(m.dim)]) for a in range(m.dim)]
+    proj = Mat(quotient.dim, m.dim, [[col[r] for col in columns] for r in range(quotient.dim)])
+    return Subquotient(sub, Morphism(sub, m, incl), quotient, Morphism(m, quotient, proj))
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,9 @@ from unittest import mock
 
 from panache import cohomology
 from panache.cohomology import ExtClassHandle
-from panache.galois import hom_block, strictly_lower_block, u_of, u_p_of
+from panache.galois import LieSubspace, hom_block, strictly_lower_block, u_of, u_p_of
 from panache.linalg import (ONE, ZERO, Mat, Subspace, commutator, intersect_subspaces,
-                            rref_basis)
+                            rref_basis, solve_linear)
 from panache.objects import Morphism, RepObject, Subquotient, internal_hom
 from panache.presentations import add_deg, standard_factorization
 
@@ -115,6 +115,30 @@ def _reorder_coords(span, rows):
             r.data[i][j] = c
     # a vector with RREF coords x has coords y in the rows with Rᵗ y = x
     return r.transpose().inverse()
+
+
+# ---------------------------------------------------------------------------
+# quotient classes through the subobject
+
+
+def quotient_class_by_subquotient(e, a):
+    """``quotient_class`` moving an End-coordinate span into the class
+    target by one ``solve_linear`` per row, then pushing the class forward
+    along the projection of the full subquotient."""
+    space = a.space if isinstance(a, LieSubspace) else a
+    if space.ambient_dim != e.target.dim:
+        if e.embed is None or space.ambient_dim != e.embed.target.dim:
+            raise ValueError("subspace coordinates do not match the class target")
+        rows = []
+        for row in space.basis:
+            sol = solve_linear(e.embed.matrix, list(row))
+            if not sol.feasible:
+                raise ValueError("subspace is not contained in the block target")
+            rows.append(sol.particular)
+        space = (Subspace.from_vectors(rows, e.target.dim)
+                 if rows else Subspace.zero(e.target.dim))
+    sq = subquotient_by_intersection(e.target, space)
+    return cohomology.pushforward_class(e, sq.projection)
 
 
 # ---------------------------------------------------------------------------

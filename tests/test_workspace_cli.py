@@ -304,6 +304,42 @@ def test_cli_ext_quotient_by_file(ws_path, tmp_path):
     assert report["split"] is True and report["target_dim"] == 0
 
 
+def test_cli_ext_quotient_by_file_in_end_coordinates(ws_path, tmp_path):
+    # the same target, given as End(M) index 0*2+1
+    span = tmp_path / "span.json"
+    span.write_text(json.dumps([["0", "1", "0", "0"]]))
+    rc, report = run_cli(["ext", "kummer", "--p", "-2",
+                          "--quotient-by", str(span)], ws_path)
+    assert rc == 0
+    assert report["split"] is True and report["target_dim"] == 0
+
+
+@pytest.mark.parametrize("obj,p,content", [
+    ("kummer", "-2", None),                       # missing file
+    ("kummer", "-2", "[1,"),                      # invalid JSON
+    ("kummer", "-2", "{}"),
+    ("kummer", "-2", "[]"),
+    ("kummer", "-2", '"1"'),
+    ("kummer", "-2", '["1"]'),
+    ("kummer", "-2", '[["1"], ["1", "0"]]'),
+    ("kummer", "-2", "[[1, 2]]"),
+    ("kummer", "-2", "[[1]]"),
+    ("kummer", "-2", '[["x"]]'),
+    ("kummer", "-2", '[["1/0"]]'),
+    ("kummer", "-2", '[["1", "0"]]'),             # neither dim 1 nor 2^2
+    ("kummer", "-2", '[["1", "0", "0", "0"]]'),   # End index 0 is off the block
+    ("m", "-4", '[["1", "1"]]'),                  # characters (1,) and (2,)
+    ("m", "-4", '[["1", "0"]]'),                  # x sends it to the other line
+])
+def test_cli_ext_quotient_by_rejects_bad_file(ws_path, tmp_path, obj, p, content, capsys):
+    span = tmp_path / "span.json"
+    if content is not None:
+        span.write_text(content)
+    rc, out = run_cli(["ext", obj, "--p", p, "--quotient-by", str(span)], ws_path)
+    assert rc == 2 and out == ""
+    assert "ext.--quotient-by" in capsys.readouterr().err
+
+
 def test_cli_missing_workspace(tmp_path):
     rc, _ = run_cli(["u", "kummer"], str(tmp_path / "nope.json"))
     assert rc == 2
