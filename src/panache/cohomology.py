@@ -162,7 +162,7 @@ class ExtClassHandle:
         in index order; only the pairs ``_relevant_pairs`` names can fail."""
         x = self.target
         bad = []
-        for i, j in _relevant_pairs(x, extra_support=self.support()):
+        for i, j in _relevant_pairs(x):
             lhs = x.action(i).apply(list(self.component(j)))
             rhs = x.action(j).apply(list(self.component(i)))
             want = [ZERO] * x.dim
@@ -207,14 +207,11 @@ def _normal_form(x: RepObject, comps: dict[int, tuple]) -> dict:
     return {k: v for k, v in reduced.items() if v != 0}
 
 
-def _relevant_pairs(x: RepObject, extra_support: Sequence[int] = ()) -> list[tuple[int, int]]:
-    """The pairs where A_i c_j - A_j c_i = c([b_i, b_j]) can fail: an acting
-    or cocycle-carrying generator against one whose degree is a character
-    of X, or a pair whose degrees sum to a nonzero character."""
-    p, chars = x.presentation, x.character_set()
-    return p.pairs_touching(set(x.action_support()) | set(extra_support),
-                            [g for chi in chars for g in p.gens_of_degree(chi)],
-                            [chi for chi in chars if any(chi)])
+def _relevant_pairs(x: RepObject) -> list[tuple[int, int]]:
+    """The pairs where A_i c_j - A_j c_i = c([b_i, b_j]) can fail: every
+    term lives on character degree(i) + degree(j), so that sum must be a
+    nonzero character of X."""
+    return x.presentation.pairs_touching((), (), [chi for chi in x.character_set() if any(chi)])
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +327,8 @@ def h2_basis(x: RepObject) -> list[dict]:
         return []
     pos = {key: k for k, key in enumerate(layout)}
     rows = []
-    for triple in _relevant_triples(x):
+    # a row of the two-cocycle condition on (i, j, k) lives on the degree sum
+    for triple in p.triples_with_degree_sum(chi for chi in x.character_set() if any(chi)):
         for row in _triple_constraint_rows(x, triple, pos):
             rows.append({pos[key]: v for key, v in row.items()})
     if rows:
@@ -360,16 +358,6 @@ def _layout2(x: RepObject) -> list[PairKey]:
             for a in idx:
                 layout.append(((i, j), a))
     return layout
-
-
-def _relevant_triples(x: RepObject) -> Iterable[tuple[int, int, int]]:
-    p = x.presentation
-    if p.n_gens > 60:
-        raise NotImplementedError("generic degree-two cohomology is desk-scale only")
-    for i in range(p.n_gens):
-        for j in range(i + 1, p.n_gens):
-            for k in range(j + 1, p.n_gens):
-                yield (i, j, k)
 
 
 def _pair_lookup(pos: dict, i: int, j: int, a: int):
@@ -593,14 +581,6 @@ def _block_positions(e: ExtClassHandle) -> list[int]:
     if None in pos:
         raise ValueError("block embedding is not a coordinate inclusion")
     return pos
-
-
-def pushforward_class(e: ExtClassHandle, f: Morphism) -> ExtClassHandle:
-    """Push the class forward along a morphism out of its target."""
-    if f.source.characters != e.target.characters:
-        raise ValueError("pushforward source mismatch")
-    comps = {i: tuple(f.matrix.apply(list(v))) for i, v in e.comps.items()}
-    return ExtClassHandle(f.target, comps)
 
 
 def quotient_class(e: ExtClassHandle, a: Subspace | LieSubspace) -> ExtClassHandle:

@@ -84,7 +84,8 @@ class RepObject:
     def validate(self) -> list[str]:
         """Equivariance and Lie-homomorphism checks; empty list means pass.
         [A_i, A_j] = A_[b_i,b_j] is checked, in index order, only where it can
-        fail: both generators act, or degree(i) + degree(j) is a nonzero
+        fail: once the actions are equivariant, both sides move each
+        character by degree(i) + degree(j), so that sum must be a nonzero
         character difference (``GroupPresentation.pairs_touching``)."""
         problems: list[str] = []
         p = self.presentation
@@ -100,10 +101,10 @@ class RepObject:
                     break
         if problems:
             return problems
-        chars, support = self.character_set(), self.action_support()
+        chars = self.character_set()
         char_diffs = {tuple(x - y for x, y in zip(ca, cb))
                       for ca in chars for cb in chars if ca != cb}
-        for i, j in p.pairs_touching(support, support, char_diffs):
+        for i, j in p.pairs_touching((), (), char_diffs):
             lhs = commutator(self.action(i), self.action(j))
             rhs = self.action_of_element(p.bracket(i, j))
             if lhs != rhs:

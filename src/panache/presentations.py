@@ -276,19 +276,32 @@ class GroupPresentation:
                          for i in self.gens_of_degree(d1) for j in seconds if i != j)
         return pairs
 
+    def triples_with_degree_sum(self, degrees: Iterable[Degree]) -> list[tuple[int, int, int]]:
+        """The sorted triples i < j < k with degree(i) + degree(j) +
+        degree(k) in ``degrees``: each occurring degree for k, then the
+        pairs on what is left."""
+        triples = set()
+        for d in set(degrees):
+            for d3 in self.occurring_degrees():
+                pairs = self.pairs_with_degree_sum(tuple(x - y for x, y in zip(d, d3)))
+                triples.update(tuple(sorted((i, j, k))) for k in self.gens_of_degree(d3)
+                               for i, j in pairs if k != i and k != j)
+        return sorted(triples)
+
     def pairs_touching(self, left: Collection[int], right: Collection[int],
                        degree_sums: Iterable[Degree]) -> list[tuple[int, int]]:
         """The sorted pairs i < j with one index in ``left`` and the other in
-        ``right``, or with degree(i) + degree(j) in ``degree_sums``: the one
-        rule for which generator pairs a pairwise identity (Lie homomorphism,
-        cocycle, blend corner) can fail on.  Terms of the identity in b_i and
-        b_j need i and j in the supports; a term in [b_i, b_j] needs some b_k
-        in it seen by the object, and in a graded presentation every such k
-        has degree(k) = degree(i) + degree(j).  So the rule is complete only
-        under the grading invariant of ``validate_presentation``, which free
-        and abelian presentations meet by construction and
-        ``presentation_from_json`` checks before any object loads.  Sorting
-        keeps the first failing pair the one an all-pairs scan reports.
+        ``right``, or with degree(i) + degree(j) in ``degree_sums``.
+
+        A Lie-homomorphism or cocycle identity lives on the degree sum, so it
+        can fail only where that sum is a degree the object sees, and passes
+        no supports; ``blend`` passes its acting generators, since its cup
+        term L_i N_j is not graded by the sum alone.  This needs the grading
+        invariant of ``validate_presentation`` (every b_k in [b_i, b_j] has
+        degree(k) = degree(i) + degree(j)), which free and abelian
+        presentations meet by construction and ``presentation_from_json``
+        checks before any object loads.  Sorting keeps the first failing pair
+        the one an all-pairs scan reports.
         """
         pairs = {(min(i, j), max(i, j)) for i in left for j in right if i != j}
         for d in degree_sums:
@@ -430,18 +443,15 @@ def validate_presentation(p: GroupPresentation) -> PresentationReport:
                                   f"bracket ({i},{j}) hits degree {p.degree(k)} != {target}"))
                     return PresentationReport(False, violations)
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                acc: dict[int, Fraction] = {}
-                for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                    inner = p.bracket(a, b)
-                    for m, coeff in inner.items():
-                        p.bracket_into(m, c, acc, coeff)
-                if acc:
-                    violations.append(
-                        Violation("jacobi", (i, j, k), "Jacobi sum does not vanish"))
-                    return PresentationReport(False, violations)
+    # the Jacobi sum of b_i, b_j, b_k lives on the degree sum
+    for i, j, k in p.triples_with_degree_sum(p.occurring_degrees()):
+        acc: dict[int, Fraction] = {}
+        for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
+            for m, coeff in p.bracket(a, b).items():
+                p.bracket_into(m, c, acc, coeff)
+        if acc:
+            violations.append(Violation("jacobi", (i, j, k), "Jacobi sum does not vanish"))
+            return PresentationReport(False, violations)
 
     return PresentationReport(True, [])
 

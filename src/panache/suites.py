@@ -114,27 +114,28 @@ def suite_origination(count: int = 100, samples_per: int = 5, seed: int = 0) -> 
         kernel_cuts = []
         for p in _interesting_cuts(m):
             e = e_p_class(m, p)
-            up = u_p_of(m, p)
+            # the kernel block u_p in the class target's coordinates
+            kernel = transport_to_target(e, u_p_of(m, p).space)
             s = direct_sum(weight_filtration(m, p).source, weight_quotient(m, p).target)
-            pos = originates_from(quotient_class(e, up), s)
+            pos = originates_from(quotient_class(e, kernel), s)
             res.record(pos.holds, recipe=inst.recipe, seed=inst.seed, p=p,
                        direction="positive")
-            if up.dim > 0:
-                kernel_cuts.append((p, e, up, s))
+            if kernel.dim > 0:
+                kernel_cuts.append((p, e, kernel, s))
         if not kernel_cuts:
             continue
         instances_with_kernel += 1
         produced = 0
         candidates: list = []
-        for (p, e, up, s) in kernel_cuts:
+        for (p, e, _, s) in kernel_cuts:
             candidates.append((p, e, s, Subspace.zero(e.target.dim)))
         attempt = 0
         seen = set()
         while len(candidates) < samples_per and attempt < 20 * samples_per:
-            p, e, up, s = kernel_cuts[attempt % len(kernel_cuts)]
+            p, e, kernel, s = kernel_cuts[attempt % len(kernel_cuts)]
             a = sample_stable_subspace(e.target, e.target,
                                        seed=inst.seed * 1013 + 31 * p + attempt,
-                                       avoid=transport_to_target(e, up.space))
+                                       avoid=kernel)
             attempt += 1
             if a is None or (p, a.basis) in seen:
                 continue

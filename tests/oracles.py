@@ -14,7 +14,8 @@ from panache.galois import LieSubspace, hom_block, strictly_lower_block, u_of, u
 from panache.linalg import (ONE, ZERO, Mat, Subspace, commutator, intersect_subspaces,
                             rref_basis, solve_linear)
 from panache.objects import Morphism, RepObject, Subquotient, internal_hom
-from panache.presentations import add_deg, standard_factorization
+from panache.presentations import (GroupPresentation, PresentationReport, Violation,
+                                   add_deg, standard_factorization)
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +139,15 @@ def quotient_class_by_subquotient(e, a):
         space = (Subspace.from_vectors(rows, e.target.dim)
                  if rows else Subspace.zero(e.target.dim))
     sq = subquotient_by_intersection(e.target, space)
-    return cohomology.pushforward_class(e, sq.projection)
+    return pushforward_class(e, sq.projection)
+
+
+def pushforward_class(e, f):
+    """Push the class forward along a morphism out of its target."""
+    if f.source.characters != e.target.characters:
+        raise ValueError("pushforward source mismatch")
+    comps = {i: tuple(f.matrix.apply(list(v))) for i, v in e.comps.items()}
+    return ExtClassHandle(f.target, comps)
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +203,57 @@ def h1_basis_all_pairs(x):
     with mock.patch.object(cohomology, "_relevant_pairs",
                            lambda t, extra_support=(): all_pairs(t.presentation)):
         return cohomology.h1_basis(x)
+
+
+# ---------------------------------------------------------------------------
+# generator triples: every i < j < k, with no pruning
+
+
+def all_triples(p):
+    n = p.n_gens
+    return [(i, j, k) for i in range(n) for j in range(i + 1, n) for k in range(j + 1, n)]
+
+
+def validate_presentation_all_triples(p):
+    """``validate_presentation`` checking the Jacobi identity on every
+    generator triple."""
+    if len(p.weight) != p.torus_rank:
+        return PresentationReport(False, [Violation(
+            "weight-length", (), "weight functional length != torus rank")])
+    violations = []
+    for i, g in enumerate(p.generators):
+        if len(g.degree) != p.torus_rank:
+            return PresentationReport(False, [Violation("degree-length", (i,),
+                                                        f"generator {g.name}")])
+        if p.gen_weight(i) >= 0:
+            violations.append(Violation("nonnegative-weight", (i,),
+                                        f"generator {g.name} has weight {p.gen_weight(i)}"))
+    if violations:
+        return PresentationReport(False, violations)
+    for i, j in all_pairs(p):
+        target = add_deg(p.degree(i), p.degree(j))
+        for k, c in p.bracket(i, j).items():
+            if c != 0 and p.degree(k) != target:
+                return PresentationReport(False, [Violation(
+                    "grading", (i, j, k),
+                    f"bracket ({i},{j}) hits degree {p.degree(k)} != {target}")])
+    for i, j, k in all_triples(p):
+        acc = {}
+        for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
+            for m, coeff in p.bracket(a, b).items():
+                p.bracket_into(m, c, acc, coeff)
+        if acc:
+            return PresentationReport(False, [Violation("jacobi", (i, j, k),
+                                                        "Jacobi sum does not vanish")])
+    return PresentationReport(True, [])
+
+
+def h2_basis_all_triples(x):
+    """``h2_basis`` with the two-cocycle constraints of every generator
+    triple."""
+    with mock.patch.object(GroupPresentation, "triples_with_degree_sum",
+                           lambda p, degrees: all_triples(p)):
+        return cohomology.h2_basis(x)
 
 
 # ---------------------------------------------------------------------------

@@ -192,7 +192,25 @@ def test_cli_blend_and_equiv(ws_path):
 
 def test_cli_validate(ws_path):
     rc, report = run_cli(["validate"], ws_path)
-    assert rc == 0 and report["violations"] == 0
+    assert rc == 0
+    report.pop("timestamp")
+    assert report == {"command": "validate", "presentation_ok": True,
+                      "objects": {"A": [], "B": [], "C": [], "kummer": [], "m": []},
+                      "violations": 0}
+
+
+def test_cli_validate_jacobi_failure_exits_2(tmp_path, capsys):
+    # graded brackets [x, y] = w and [z, w] = u break Jacobi on (x, y, z)
+    pres = explicit_presentation(1, (-1,),
+                                 [("x", (1,)), ("y", (1,)), ("z", (1,)),
+                                  ("w", (2,)), ("u", (3,))],
+                                 {(0, 1): {3: 1}, (2, 3): {4: 1}})
+    path = tmp_path / "ws.json"
+    save_workspace(WorkspaceDoc(pres), str(path))
+    rc, out = run_cli(["validate"], str(path))
+    assert rc == 2 and out == ""
+    assert json.loads(capsys.readouterr().err) == \
+        {"error": "presentation: invariant jacobi violated at (0, 1, 2)"}
 
 
 def test_cli_theorems(ws_path):
