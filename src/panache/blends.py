@@ -14,10 +14,9 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .linalg import (Mat, ONE, ZERO, lattice_solve, solve_linear, solve_mod2,
-                     vec_is_zero)
-from .objects import (IsoResult, Morphism, RepObject, is_isomorphic,
-                      morphism_space, weight_filtration, weight_quotient)
+from .linalg import Mat, ONE, ZERO, kernel_basis, solve_linear, vec_is_zero
+from .objects import (IsoResult, Morphism, RepObject, internal_hom, invertible_element,
+                      is_isomorphic, morphism_space, weight_filtration, weight_quotient)
 from .galois import hom_block, strictly_lower_block, u_of, u_p_of
 from .cohomology import (ExtClassHandle, H2Class, e_p_class, ext1_class,
                          h1_basis, is_split, min_split_support, quotient_class,
@@ -345,23 +344,17 @@ def attached_unique(pair: CompatiblePair) -> AttachedResult:
     res = blend(pair)
     if not res.ok:
         return AttachedResult("not_compatible")
-    from .objects import internal_hom
-    hom_cb = internal_hom(pair.c, pair.b)
-    obstruction_space = h1_basis(hom_cb)
+    obstruction_space = h1_basis(internal_hom(pair.c, pair.b))
     m1 = res.diagram.m
     second = _second_blend(pair, res, obstruction_space)
     if second is None:
-        iso = is_isomorphic(m1, m1)
-        return AttachedResult("unique", m1, m1, iso)
+        return AttachedResult("unique", m1, m1, is_isomorphic(m1, m1))
     iso = is_isomorphic(m1, second)
-    if not obstruction_space:
-        return AttachedResult("unique" if iso.status == "yes" else "undecided",
-                              m1, second, iso)
-    if iso.status == "no":
+    if not obstruction_space and iso.status == "yes":
+        return AttachedResult("unique", m1, second, iso)
+    if obstruction_space and iso.status == "no":
         return AttachedResult("non_unique", m1, second, iso)
-    if iso.status == "yes":
-        # this particular perturbation did not change the class; stay honest
-        return AttachedResult("undecided", m1, second, iso)
+    # an undecided isomorphism, or a perturbation that kept the class
     return AttachedResult("undecided", m1, second, iso)
 
 
@@ -377,7 +370,6 @@ def _second_blend(pair: CompatiblePair, res: BlendResult, obstruction_space):
     else:
         # coboundary of a character-zero hom: exists only with matching chars
         zero_char = tuple([0] * pair.b.presentation.torus_rank)
-        from .objects import internal_hom
         hom_cb = internal_hom(pair.c, pair.b)
         idx = hom_cb.char_indices(zero_char)
         for a0 in idx:
@@ -419,164 +411,71 @@ def _second_blend(pair: CompatiblePair, res: BlendResult, obstruction_space):
 @dataclass
 class EquivalenceResult:
     status: str                 # "equivalent" | "not_equivalent" | "unknown"
-    scalings: dict | None = None
+    witness: tuple[Mat, Mat, Mat] | None = None   # (fb, fa, fc) for pair_act
     reason: str = ""
 
 
-def _components(m: RepObject) -> list[int]:
-    """Connected components of the action graph; automorphisms of a
-    multiplicity-free object are constant on them."""
-    parent = list(range(m.dim))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for mat in m.actions.values():
-        for a, b, c in mat.nonzero_entries():
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-    return [find(a) for a in range(m.dim)]
-
-
 def pair_equivalent(p1: CompatiblePair, p2: CompatiblePair,
-                    random_trials: int = 200, seed: int = 0) -> EquivalenceResult:
-    """Orbit equality under the automorphism scalings of B, A, C.
+                    seed: int = 0) -> EquivalenceResult:
+    """Orbit equality under Aut(B) × Aut(A) × Aut(C), decided exactly.
 
-    Exact in the multiplicity-free regime (all automorphisms are diagonal and
-    the orbit equations become solvable power-product systems over Q^*);
-    otherwise a bounded seeded search that may return unknown.
-    """
-    for x, y in ((p1.b, p2.b), (p1.a, p2.a), (p1.c, p2.c)):
+    Write (L, N) for the classes of p1 and (L', N') for those of p2.
+    ``pair_act(p1, fb, fa, fc)`` equals p2 exactly when L_i·fa = fb·L'_i and
+    N_i·fc = fa·N'_i for every generator i.  The classes live in Hom(A, B)
+    and Hom(C, A), whose coboundaries come from character-zero vectors;
+    there are none, because ``CompatiblePair`` separates the weights of B,
+    A and C, so no two of them share a character.  The triples of morphisms
+    (fb, fa, fc) in Hom(B', B) × Hom(A', A) × Hom(C', C), which is
+    End(B) × End(A) × End(C) when the pairs share their objects, solving
+    these equations form a linear space.  The pairs are equivalent exactly
+    when it holds an invertible triple (``invertible_element``), and the
+    witness is such a triple.  ``seed`` is accepted and ignored."""
+    objs = ((p1.b, p2.b), (p1.a, p2.a), (p1.c, p2.c))
+    for x, y in objs:
         if x.characters != y.characters:
             raise ValueError("pairs must share the three outer objects")
-    if is_split(p1.l_class).split != is_split(p2.l_class).split \
-            or is_split(p1.n_class).split != is_split(p2.n_class).split:
-        return EquivalenceResult("not_equivalent", reason="splitness differs")
-
-    if p1.l_class.same_class(p2.l_class) and p1.n_class.same_class(p2.n_class):
-        return EquivalenceResult("equivalent", scalings={})
-
-    multiplicity_free = all(
-        len(obj.character_multiset()) == len(obj.character_set())
-        for obj in (p1.b, p1.a, p1.c))
-    if not multiplicity_free:
-        return _pair_equivalent_random(p1, p2, random_trials, seed)
-
-    # zero patterns must agree (invertible scalings cannot change them)
-    def pattern(cls):
-        return {(i, k) for i, v in cls.comps.items() for k, x in enumerate(v) if x != 0}
-
-    if pattern(p1.l_class) != pattern(p2.l_class) or \
-            pattern(p1.n_class) != pattern(p2.n_class):
-        return EquivalenceResult("not_equivalent", reason="support patterns differ")
-
-    comp_b = _components(p1.b)
-    comp_a = _components(p1.a)
-    comp_c = _components(p1.c)
-    var_index: dict[tuple[str, int], int] = {}
-
-    def var(group, comp):
-        key = (group, comp)
-        if key not in var_index:
-            var_index[key] = len(var_index)
-        return var_index[key]
-
-    exponent_rows: list[dict[int, int]] = []
-    ratios: list[Fraction] = []
-    for i, v in p1.l_class.comps.items():
-        w = p2.l_class.comps[i]
-        for k, x in enumerate(v):
-            if x == 0:
-                continue
-            a_row, a_col = divmod(k, p1.a.dim)
-            # L2 = beta_row * L1 * alpha_col
-            row = {var("b", comp_b[a_row]): 1, var("a", comp_a[a_col]): 1}
-            exponent_rows.append(row)
-            ratios.append(w[k] / x)
-    for i, v in p1.n_class.comps.items():
-        w = p2.n_class.comps[i]
-        for k, x in enumerate(v):
-            if x == 0:
-                continue
-            a_row, c_col = divmod(k, p1.c.dim)
-            # N2 = alpha_row^{-1} * N1 * gamma_col
-            row = {var("a", comp_a[a_row]): -1, var("c", comp_c[c_col]): 1}
-            exponent_rows.append(row)
-            ratios.append(w[k] / x)
-
-    n_vars = len(var_index)
-    dense = [[r.get(j, 0) for j in range(n_vars)] for r in exponent_rows]
-    primes = sorted({q for r in ratios for q in _prime_support(r)})
-    transpose = [[dense[r][j] for r in range(len(dense))] for j in range(n_vars)]
-    for q in primes:
-        target = [_valuation(r, q) for r in ratios]
-        if lattice_solve(transpose, target) is None:
-            return EquivalenceResult("not_equivalent",
-                                     reason=f"no scaling matches the {q}-adic pattern")
-    signs = [0 if r > 0 else 1 for r in ratios]
-    if solve_mod2(transpose, signs) is None:
-        return EquivalenceResult("not_equivalent", reason="no scaling matches the signs")
-    return EquivalenceResult("equivalent", scalings={"variables": n_vars})
-
-
-def _prime_support(r: Fraction):
-    out = set()
-    for n in (abs(r.numerator), r.denominator):
-        d = 2
-        while d * d <= n:
-            if n % d == 0:
-                out.add(d)
-                while n % d == 0:
-                    n //= d
-            d += 1
-        if n > 1:
-            out.add(n)
-    return out
-
-
-def _valuation(r: Fraction, q: int) -> int:
-    v = 0
-    n = abs(r.numerator)
-    while n % q == 0:
-        n //= q
-        v += 1
-    d = r.denominator
-    while d % q == 0:
-        d //= q
-        v -= 1
-    return v
-
-
-def _pair_equivalent_random(p1, p2, trials, seed) -> EquivalenceResult:
-    rng = random.Random(seed)
-    auts = {}
-    for name, obj in (("b", p1.b), ("a", p1.a), ("c", p1.c)):
-        space = morphism_space(obj, obj)
-        auts[name] = [Mat.unflatten(list(r), obj.dim, obj.dim) for r in space.basis]
-
-    def sample(name, obj):
-        base = auts[name]
-        for _ in range(8):
-            m = Mat.zeros(obj.dim, obj.dim)
-            for b in base:
-                m = m + b.scale(Fraction(rng.randint(-3, 3)))
-            if m.det() != 0:
-                return m
-        return Mat.identity(obj.dim)
-
-    for _ in range(trials):
-        fb, fa, fc = sample("b", p1.b), sample("a", p1.a), sample("c", p1.c)
-        try:
-            cand = pair_act(p1, fb, fa, fc)
-        except ValueError:
-            continue
-        if cand.l_class.same_class(p2.l_class) and cand.n_class.same_class(p2.n_class):
-            return EquivalenceResult("equivalent")
-    return EquivalenceResult("unknown", reason="random search exhausted")
+    assert not set(p1.a.characters) & (set(p1.b.characters) | set(p1.c.characters)), \
+        "weight separation leaves A no character in common with B or C"
+    offsets = [0]
+    for x, y in objs:
+        offsets.append(offsets[-1] + x.dim * y.dim)
+    # unknowns: the basis morphisms of Hom(B', B), Hom(A', A), Hom(C', C)
+    unknowns = [(k, Mat.unflatten(list(r), x.dim, y.dim))
+                for k, (x, y) in enumerate(objs) for r in morphism_space(y, x).basis]
+    rows = []
+    for cls1, cls2, lo, hi in ((p1.l_class, p2.l_class, 0, 1),
+                               (p1.n_class, p2.n_class, 1, 2)):
+        (x_lo, y_lo), (x_hi, y_hi) = objs[lo], objs[hi]
+        for i in sorted(set(cls1.comps) | set(cls2.comps)):
+            g1 = Mat.unflatten(list(cls1.component(i)), x_lo.dim, x_hi.dim)
+            g2 = Mat.unflatten(list(cls2.component(i)), y_lo.dim, y_hi.dim)
+            # g1·f_hi - f_lo·g2 = 0, one row per matrix entry
+            terms = [g1.matmul(f) if k == hi else (f.matmul(g2).scale(-1) if k == lo else None)
+                     for k, f in unknowns]
+            for r in range(x_lo.dim):
+                for c in range(y_hi.dim):
+                    row = [ZERO if t is None else t.data[r][c] for t in terms]
+                    if any(row):
+                        rows.append(row)
+    basis = []
+    for v in kernel_basis(Mat(len(rows), len(unknowns), rows)):
+        flat = [ZERO] * offsets[-1]
+        for coeff, (k, f) in zip(v, unknowns):
+            if coeff:
+                for e, x in enumerate(f.flat(), offsets[k]):
+                    flat[e] += coeff * x
+        basis.append(flat)
+    blocks = [(f"{name} {chi}", [[off + a * y.dim + b for b in y.char_indices(chi)]
+                                 for a in x.char_indices(chi)])
+              for name, off, (x, y) in zip("BAC", offsets, objs)
+              for chi in sorted(x.character_set())]
+    status, flat, reason = invertible_element(basis, blocks)
+    if status != "yes":
+        return EquivalenceResult("not_equivalent" if status == "no" else "unknown",
+                                 reason=reason)
+    return EquivalenceResult("equivalent", witness=tuple(
+        Mat.unflatten(flat[off:off + x.dim * y.dim], x.dim, y.dim)
+        for off, (x, y) in zip(offsets, objs)))
 
 
 def extract_pair(m: RepObject, b_cut: int, a_cut: int) -> CompatiblePair:
@@ -742,7 +641,6 @@ def sample_commuting_object(pres, chars: list[int], seed: int, density: float = 
                     if any(x != 0 for x in row):
                         rows.append(row)
         if rows:
-            from .linalg import kernel_basis
             kern = kernel_basis(Mat.from_rows(rows))
             if not kern:
                 continue

@@ -253,8 +253,7 @@ def _dispatch(args) -> int:
 
     if cmd == "equiv":
         doc = _load(args)
-        res = pair_equivalent(doc.pair(args.pair1), doc.pair(args.pair2),
-                              seed=args.seed)
+        res = pair_equivalent(doc.pair(args.pair1), doc.pair(args.pair2))
         _emit({"status": res.status, "reason": res.reason}, args, doc)
         return 0
 

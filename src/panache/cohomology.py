@@ -21,6 +21,7 @@ from .linalg import (IntLattice, Mat, ONE, ZERO, Subspace, kernel_basis,
 from .objects import (Morphism, RepObject, _restrict, internal_hom, quotient_by,
                       unit_object, weight_filtration, weight_quotient)
 from .galois import LieSubspace, strictly_lower_block
+from .presentations import dot
 
 
 FlatKey = tuple[int, int]          # (generator index, basis index of X)
@@ -314,14 +315,10 @@ def h2_basis(x: RepObject) -> list[dict]:
     p = x.presentation
     if x.dim == 0:
         return []
-    if p.free_meta is not None and x.dim == 1 and not x.actions:
-        chi = x.characters[0]
-        from .presentations import dot
-        if dot(p.weight, chi) >= p.free_meta.weight_bound:
-            # within the truncation window the algebra has no relations
-            return []
-        raise NotImplementedError(
-            "degree-two cohomology below the truncation bound needs the generic path")
+    if p.free_meta is not None and x.dim == 1 and not x.actions \
+            and dot(p.weight, x.characters[0]) >= p.free_meta.weight_bound:
+        # within the truncation window the algebra has no relations
+        return []
     layout = _layout2(x)
     if not layout:
         return []

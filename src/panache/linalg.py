@@ -545,65 +545,6 @@ def hermite_normal_form(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     return h
 
 
-def lattice_solve(rows: Sequence[Sequence[int]], target: Sequence[int]) -> list[int] | None:
-    """Integer coefficients x with x·rows = target, or None.
-
-    Works by Hermite-reducing the generators while tracking the unimodular
-    transform, then back-substituting with exact divisibility checks.
-    """
-    gens = [list(map(int, r)) for r in rows]
-    target = list(map(int, target))
-    if not gens:
-        return [] if all(x == 0 for x in target) else None
-    n = len(gens[0])
-    if len(target) != n:
-        raise ValueError("dimension mismatch")
-    m = len(gens)
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    work = [r[:] for r in gens]
-    piv = []
-    r0 = 0
-    for col in range(n):
-        live = [r for r in range(r0, m) if work[r][col] != 0]
-        if not live:
-            continue
-        while len(live) > 1:
-            live.sort(key=lambda r: abs(work[r][col]))
-            base = live[0]
-            for r in live[1:]:
-                q = work[r][col] // work[base][col]
-                if q != 0:
-                    work[r] = [x - q * y for x, y in zip(work[r], work[base])]
-                    u[r] = [x - q * y for x, y in zip(u[r], u[base])]
-            live = [r for r in live if work[r][col] != 0]
-        base = live[0]
-        if base != r0:
-            work[base], work[r0] = work[r0], work[base]
-            u[base], u[r0] = u[r0], u[base]
-        if work[r0][col] < 0:
-            work[r0] = [-x for x in work[r0]]
-            u[r0] = [-x for x in u[r0]]
-        piv.append((r0, col))
-        r0 += 1
-    coeffs = [0] * m
-    residue = target[:]
-    for r, col in piv:
-        if residue[col] % work[r][col] != 0:
-            return None
-        q = residue[col] // work[r][col]
-        coeffs[r] = q
-        if q != 0:
-            residue = [x - q * y for x, y in zip(residue, work[r])]
-    if any(x != 0 for x in residue):
-        return None
-    out = [0] * m
-    for r in range(m):
-        if coeffs[r]:
-            for j in range(m):
-                out[j] += coeffs[r] * u[r][j]
-    return out
-
-
 @dataclass(frozen=True)
 class IntLattice:
     """Integer row span with a cached Hermite normal form."""
@@ -696,36 +637,3 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> list[int]:
                 diag[i], diag[i + 1] = g, l
                 changed = True
     return diag
-
-
-def solve_mod2(rows: Sequence[Sequence[int]], target: Sequence[int]) -> list[int] | None:
-    """Solve x·rows = target over F_2 (used for sign patterns)."""
-    gens = [[x & 1 for x in r] for r in rows]
-    b = [x & 1 for x in target]
-    m = len(gens)
-    if m == 0:
-        return [] if all(x == 0 for x in b) else None
-    n = len(gens[0])
-    aug = [gens[i] + [1 if j == i else 0 for j in range(m)] for i in range(m)]
-    r0 = 0
-    pivots = []
-    for col in range(n):
-        pivot = next((r for r in range(r0, m) if aug[r][col]), None)
-        if pivot is None:
-            continue
-        aug[r0], aug[pivot] = aug[pivot], aug[r0]
-        for r in range(m):
-            if r != r0 and aug[r][col]:
-                aug[r] = [(x + y) & 1 for x, y in zip(aug[r], aug[r0])]
-        pivots.append((r0, col))
-        r0 += 1
-    x = [0] * m
-    residue = b[:]
-    for r, col in pivots:
-        if residue[col]:
-            residue = [(u + v) & 1 for u, v in zip(residue, aug[r][:n])]
-            for j in range(m):
-                x[j] ^= aug[r][n + j]
-    if any(residue):
-        return None
-    return x

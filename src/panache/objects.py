@@ -12,9 +12,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Callable, Sequence
 
-from .linalg import Mat, ONE, ZERO, Subspace, commutator, kernel_basis
+from .linalg import (Mat, ONE, ZERO, Subspace, commutator, kernel_basis, pivot_columns,
+                     rref_rows)
 from .presentations import GroupPresentation, add_deg, dot
 
 Character = tuple[int, ...]
@@ -412,46 +414,115 @@ class IsoResult:
         return self.status == "yes"
 
 
-def is_isomorphic(m: RepObject, n: RepObject, max_params_exact: int = 3,
-                  random_trials: int = 64, seed: int = 0) -> IsoResult:
-    """Decision ladder: invariants, then an exact polynomial identity test on
-    the morphism space when it has few parameters, else seeded random search."""
+def is_isomorphic(m: RepObject, n: RepObject) -> IsoResult:
+    """Invariants first, then the exact decision whether the morphism space
+    holds an invertible map (``invertible_element``); a ``yes`` carries that
+    isomorphism as its witness."""
     _same_presentation(m, n)
     if m.dim != n.dim:
         return IsoResult("no", reason="dimension mismatch")
     if m.character_multiset() != n.character_multiset():
         return IsoResult("no", reason="character multiset mismatch")
-    if m.dim == 0:
-        return IsoResult("yes", Mat.zeros(0, 0))
-    space = morphism_space(m, n)
-    k = space.dim
-    if k == 0:
-        return IsoResult("no", reason="zero morphism space")
-    mats = [Mat.unflatten(list(r), n.dim, m.dim) for r in space.basis]
+    blocks = [(f"character {chi}", [[a * m.dim + b for b in m.char_indices(chi)]
+                                    for a in n.char_indices(chi)])
+              for chi in sorted(m.character_set())]
+    status, flat, reason = invertible_element(morphism_space(m, n).basis, blocks)
+    return IsoResult(status, None if flat is None else Mat.unflatten(flat, n.dim, m.dim),
+                     reason)
 
-    def combo(ts):
-        out = Mat.zeros(n.dim, m.dim)
-        for t, b in zip(ts, mats):
-            if t:
-                out = out + b.scale(t)
-        return out
 
-    if k <= max_params_exact:
-        deg = m.dim
-        grids = [range(deg + 1)] * k
-        import itertools as _it
-        for ts in _it.product(*grids):
-            c = combo([Fraction(t) for t in ts])
-            if c.det() != 0:
-                return IsoResult("yes", c)
-        return IsoResult("no", reason="identically singular morphism pencil")
-    rng = random.Random(seed)
-    for _ in range(random_trials):
-        ts = [Fraction(rng.randint(-8, 8)) for _ in range(k)]
-        c = combo(ts)
-        if c.det() != 0:
-            return IsoResult("yes", c)
-    return IsoResult("unknown", reason="random search exhausted")
+# Grid points tried per block before a decision is given up.  Every "no"
+# on a block of size <= 3 fits: a space of singular 3×3 matrices has
+# dimension at most 6 (Dieudonné), so its grid {0..3}^k has at most 4^6
+# points.
+GRID_CAP = 4096
+
+
+def invertible_element(basis: Sequence[Sequence[Fraction]],
+                       blocks: Sequence[tuple[str, Sequence[Sequence[int]]]]
+                       ) -> tuple[str, list[Fraction] | None, str]:
+    """Does the span V of ``basis`` hold an element whose every block is
+    invertible?  Returns ``(status, element, reason)`` with status "yes"
+    (and such an element), "no" or "unknown" (with the reason).
+
+    Each basis vector is a flat tuple of block-diagonal matrices; ``blocks``
+    gives each square block a label and the table of its flat positions.
+    Morphisms preserve characters, so det = Π_χ det_χ over the character
+    blocks, and each factor is decided alone.
+
+    - **No.**  An m×m block projects V onto a span of rank k <= m², with
+      coordinates s_1..s_k.  det_χ has degree at most m in each s_l, so if
+      it vanishes on the grid {0..m}^k it vanishes identically (Alon,
+      *Combinatorial Nullstellensatz*, 1999, Lemma 2.1).  Otherwise the
+      grid point found is the block's witness, a point of V.
+    - **Yes.**  V's coordinates are then fixed one at a time.  With the
+      other coordinates held at a block's witness, det_χ is a polynomial
+      of degree at most m in the free one, nonzero at the witness.  So at
+      most D = Σ m values kill some block, and one value in {0..D} keeps
+      every block's det nonzero; every witness moves to it.  Once all
+      coordinates are fixed, the witnesses agree on one element.
+
+    Each grid is walked lazily, up to the first nonzero det, by a
+    golden-ratio stride: a bijection of the grid that changes most
+    coordinates from one point to the next.  The status is "unknown",
+    naming the block, only when a grid has more than ``GRID_CAP`` points
+    and none of the first ``GRID_CAP`` has a nonzero det."""
+    projections = [(label, len(pos), [[v[p] for row in pos for p in row] for v in basis])
+                   for label, pos in blocks if pos]
+    witnesses = []
+    capped = None
+    for label, m, proj in projections:
+        found, size = _block_witness(proj, m)
+        if found is not None:
+            witnesses.append(found)
+        elif size <= GRID_CAP:
+            return "no", None, (f"the det of block {label} vanishes on its "
+                                f"{size}-point grid, so identically")
+        elif capped is None:
+            capped = f"the grid of block {label} has {size} points, past the cap {GRID_CAP}"
+    if capped is not None:
+        return "unknown", None, capped
+    bound = sum(m for _, m, _ in projections)
+    for j in range(len(basis)):
+        for x in range(bound + 1):
+            moved = [w[:j] + [x] + w[j + 1:] for w in witnesses]
+            if all(_block_det(proj, t, m) for (_, m, proj), t in zip(projections, moved)):
+                witnesses = moved
+                break
+    t = witnesses[0] if witnesses else [0] * len(basis)
+    n = len(basis[0]) if basis else 0
+    return "yes", [sum((c * v[e] for c, v in zip(t, basis) if c), ZERO) for e in range(n)], ""
+
+
+def _block_witness(proj: list[list[Fraction]], m: int) -> tuple[list[int] | None, int]:
+    """Coordinates t on V with det(Σ t_i P_i) != 0, where P_i = ``proj[i]``
+    is the flat m×m block of basis vector i, and the size of the grid
+    searched: {0..m} on a maximal independent set of the P_i.  None means
+    the det vanishes on the whole grid, or, when the size exceeds
+    ``GRID_CAP``, on the part searched."""
+    chosen = pivot_columns(rref_rows([[p[e] for p in proj] for e in range(m * m)]))
+    side = m + 1
+    size = side ** len(chosen)
+    stride = size * 618_033_988_749_895 // 10 ** 15
+    while gcd(stride, size) != 1:
+        stride += 1
+    for count in range(min(size, GRID_CAP)):
+        code = count * stride % size
+        t = [0] * len(proj)
+        for i in chosen:
+            code, t[i] = divmod(code, side)
+        if _block_det(proj, t, m):
+            return t, size
+    return None, size
+
+
+def _block_det(proj: list[list[Fraction]], t: Sequence[int], m: int) -> Fraction:
+    """det of the m×m block of Σ t_i (basis vector i)."""
+    flat = [ZERO] * (m * m)
+    for c, p in zip(t, proj):
+        if c:
+            flat = [x + c * y for x, y in zip(flat, p)]
+    return Mat(m, m, [flat[r * m:(r + 1) * m] for r in range(m)]).det()
 
 
 # ---------------------------------------------------------------------------

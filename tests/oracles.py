@@ -1,19 +1,25 @@
 """Slow reference paths kept as test oracles.
 
 Each function here is a retired or brute-force form of something the
-package now does faster.  Differential tests run both on the same inputs
-and require identical answers; nothing under ``src/`` imports this module.
+package now does faster or more completely.  Differential tests run both
+on the same inputs and require identical answers wherever the reference
+decides; nothing under ``src/`` imports this module.
 """
 
+import itertools
 import random
+from fractions import Fraction
+from typing import Sequence
 from unittest import mock
 
 from panache import cohomology
-from panache.cohomology import ExtClassHandle
+from panache.blends import CompatiblePair, EquivalenceResult, pair_act
+from panache.cohomology import ExtClassHandle, is_split
 from panache.galois import LieSubspace, hom_block, strictly_lower_block, u_of, u_p_of
 from panache.linalg import (ONE, ZERO, Mat, Subspace, commutator, intersect_subspaces,
                             rref_basis, solve_linear)
-from panache.objects import Morphism, RepObject, Subquotient, internal_hom
+from panache.objects import (IsoResult, Morphism, RepObject, Subquotient, internal_hom,
+                             morphism_space)
 from panache.presentations import (GroupPresentation, PresentationReport, Violation,
                                    add_deg, standard_factorization)
 
@@ -384,3 +390,301 @@ def sample_stable_subspace_fixed_point(target, seed, avoid=None, tries=40):
             continue
         return space
     return None
+
+
+# ---------------------------------------------------------------------------
+# isomorphism and pair equivalence by a parameter ladder, power products and
+# seeded random search
+
+
+def is_isomorphic_ladder(m: RepObject, n: RepObject, max_params_exact: int = 3,
+                         random_trials: int = 64, seed: int = 0) -> IsoResult:
+    """``is_isomorphic`` as a decision ladder: invariants, then an exact
+    polynomial identity test on the morphism space when it has few
+    parameters, else seeded random search."""
+    if not m.presentation.same_presentation(n.presentation):
+        raise ValueError("presentation mismatch")
+    if m.dim != n.dim:
+        return IsoResult("no", reason="dimension mismatch")
+    if m.character_multiset() != n.character_multiset():
+        return IsoResult("no", reason="character multiset mismatch")
+    if m.dim == 0:
+        return IsoResult("yes", Mat.zeros(0, 0))
+    space = morphism_space(m, n)
+    k = space.dim
+    if k == 0:
+        return IsoResult("no", reason="zero morphism space")
+    mats = [Mat.unflatten(list(r), n.dim, m.dim) for r in space.basis]
+
+    def combo(ts):
+        out = Mat.zeros(n.dim, m.dim)
+        for t, b in zip(ts, mats):
+            if t:
+                out = out + b.scale(t)
+        return out
+
+    if k <= max_params_exact:
+        deg = m.dim
+        grids = [range(deg + 1)] * k
+        for ts in itertools.product(*grids):
+            c = combo([Fraction(t) for t in ts])
+            if c.det() != 0:
+                return IsoResult("yes", c)
+        return IsoResult("no", reason="identically singular morphism pencil")
+    rng = random.Random(seed)
+    for _ in range(random_trials):
+        ts = [Fraction(rng.randint(-8, 8)) for _ in range(k)]
+        c = combo(ts)
+        if c.det() != 0:
+            return IsoResult("yes", c)
+    return IsoResult("unknown", reason="random search exhausted")
+
+
+def _components(m: RepObject) -> list[int]:
+    """Connected components of the action graph; automorphisms of a
+    multiplicity-free object are constant on them."""
+    parent = list(range(m.dim))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for mat in m.actions.values():
+        for a, b, c in mat.nonzero_entries():
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                parent[ra] = rb
+    return [find(a) for a in range(m.dim)]
+
+
+def pair_equivalent_power_product(p1: CompatiblePair, p2: CompatiblePair,
+                                  random_trials: int = 200,
+                                  seed: int = 0) -> EquivalenceResult:
+    """``pair_equivalent`` by power products: orbit equality under the
+    automorphism scalings of B, A, C.
+
+    Exact in the multiplicity-free regime (all automorphisms are diagonal and
+    the orbit equations become solvable power-product systems over Q^*);
+    otherwise a bounded seeded search that may return unknown.
+    """
+    for x, y in ((p1.b, p2.b), (p1.a, p2.a), (p1.c, p2.c)):
+        if x.characters != y.characters:
+            raise ValueError("pairs must share the three outer objects")
+    if is_split(p1.l_class).split != is_split(p2.l_class).split \
+            or is_split(p1.n_class).split != is_split(p2.n_class).split:
+        return EquivalenceResult("not_equivalent", reason="splitness differs")
+
+    if p1.l_class.same_class(p2.l_class) and p1.n_class.same_class(p2.n_class):
+        return EquivalenceResult("equivalent")
+
+    multiplicity_free = all(
+        len(obj.character_multiset()) == len(obj.character_set())
+        for obj in (p1.b, p1.a, p1.c))
+    if not multiplicity_free:
+        return _pair_equivalent_random(p1, p2, random_trials, seed)
+
+    # zero patterns must agree (invertible scalings cannot change them)
+    def pattern(cls):
+        return {(i, k) for i, v in cls.comps.items() for k, x in enumerate(v) if x != 0}
+
+    if pattern(p1.l_class) != pattern(p2.l_class) or \
+            pattern(p1.n_class) != pattern(p2.n_class):
+        return EquivalenceResult("not_equivalent", reason="support patterns differ")
+
+    comp_b = _components(p1.b)
+    comp_a = _components(p1.a)
+    comp_c = _components(p1.c)
+    var_index: dict[tuple[str, int], int] = {}
+
+    def var(group, comp):
+        key = (group, comp)
+        if key not in var_index:
+            var_index[key] = len(var_index)
+        return var_index[key]
+
+    exponent_rows: list[dict[int, int]] = []
+    ratios: list[Fraction] = []
+    for i, v in p1.l_class.comps.items():
+        w = p2.l_class.comps[i]
+        for k, x in enumerate(v):
+            if x == 0:
+                continue
+            a_row, a_col = divmod(k, p1.a.dim)
+            # L2 = beta_row * L1 * alpha_col
+            row = {var("b", comp_b[a_row]): 1, var("a", comp_a[a_col]): 1}
+            exponent_rows.append(row)
+            ratios.append(w[k] / x)
+    for i, v in p1.n_class.comps.items():
+        w = p2.n_class.comps[i]
+        for k, x in enumerate(v):
+            if x == 0:
+                continue
+            a_row, c_col = divmod(k, p1.c.dim)
+            # N2 = alpha_row^{-1} * N1 * gamma_col
+            row = {var("a", comp_a[a_row]): -1, var("c", comp_c[c_col]): 1}
+            exponent_rows.append(row)
+            ratios.append(w[k] / x)
+
+    n_vars = len(var_index)
+    dense = [[r.get(j, 0) for j in range(n_vars)] for r in exponent_rows]
+    primes = sorted({q for r in ratios for q in _prime_support(r)})
+    transpose = [[dense[r][j] for r in range(len(dense))] for j in range(n_vars)]
+    for q in primes:
+        target = [_valuation(r, q) for r in ratios]
+        if lattice_solve(transpose, target) is None:
+            return EquivalenceResult("not_equivalent",
+                                     reason=f"no scaling matches the {q}-adic pattern")
+    signs = [0 if r > 0 else 1 for r in ratios]
+    if solve_mod2(transpose, signs) is None:
+        return EquivalenceResult("not_equivalent", reason="no scaling matches the signs")
+    return EquivalenceResult("equivalent")
+
+
+def _prime_support(r: Fraction):
+    out = set()
+    for n in (abs(r.numerator), r.denominator):
+        d = 2
+        while d * d <= n:
+            if n % d == 0:
+                out.add(d)
+                while n % d == 0:
+                    n //= d
+            d += 1
+        if n > 1:
+            out.add(n)
+    return out
+
+
+def _valuation(r: Fraction, q: int) -> int:
+    v = 0
+    n = abs(r.numerator)
+    while n % q == 0:
+        n //= q
+        v += 1
+    d = r.denominator
+    while d % q == 0:
+        d //= q
+        v -= 1
+    return v
+
+
+def _pair_equivalent_random(p1, p2, trials, seed) -> EquivalenceResult:
+    rng = random.Random(seed)
+    auts = {}
+    for name, obj in (("b", p1.b), ("a", p1.a), ("c", p1.c)):
+        space = morphism_space(obj, obj)
+        auts[name] = [Mat.unflatten(list(r), obj.dim, obj.dim) for r in space.basis]
+
+    def sample(name, obj):
+        base = auts[name]
+        for _ in range(8):
+            m = Mat.zeros(obj.dim, obj.dim)
+            for b in base:
+                m = m + b.scale(Fraction(rng.randint(-3, 3)))
+            if m.det() != 0:
+                return m
+        return Mat.identity(obj.dim)
+
+    for _ in range(trials):
+        fb, fa, fc = sample("b", p1.b), sample("a", p1.a), sample("c", p1.c)
+        try:
+            cand = pair_act(p1, fb, fa, fc)
+        except ValueError:
+            continue
+        if cand.l_class.same_class(p2.l_class) and cand.n_class.same_class(p2.n_class):
+            return EquivalenceResult("equivalent")
+    return EquivalenceResult("unknown", reason="random search exhausted")
+
+
+def lattice_solve(rows: Sequence[Sequence[int]], target: Sequence[int]) -> list[int] | None:
+    """Integer coefficients x with x·rows = target, or None.
+
+    Works by Hermite-reducing the generators while tracking the unimodular
+    transform, then back-substituting with exact divisibility checks.
+    """
+    gens = [list(map(int, r)) for r in rows]
+    target = list(map(int, target))
+    if not gens:
+        return [] if all(x == 0 for x in target) else None
+    n = len(gens[0])
+    if len(target) != n:
+        raise ValueError("dimension mismatch")
+    m = len(gens)
+    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    work = [r[:] for r in gens]
+    piv = []
+    r0 = 0
+    for col in range(n):
+        live = [r for r in range(r0, m) if work[r][col] != 0]
+        if not live:
+            continue
+        while len(live) > 1:
+            live.sort(key=lambda r: abs(work[r][col]))
+            base = live[0]
+            for r in live[1:]:
+                q = work[r][col] // work[base][col]
+                if q != 0:
+                    work[r] = [x - q * y for x, y in zip(work[r], work[base])]
+                    u[r] = [x - q * y for x, y in zip(u[r], u[base])]
+            live = [r for r in live if work[r][col] != 0]
+        base = live[0]
+        if base != r0:
+            work[base], work[r0] = work[r0], work[base]
+            u[base], u[r0] = u[r0], u[base]
+        if work[r0][col] < 0:
+            work[r0] = [-x for x in work[r0]]
+            u[r0] = [-x for x in u[r0]]
+        piv.append((r0, col))
+        r0 += 1
+    coeffs = [0] * m
+    residue = target[:]
+    for r, col in piv:
+        if residue[col] % work[r][col] != 0:
+            return None
+        q = residue[col] // work[r][col]
+        coeffs[r] = q
+        if q != 0:
+            residue = [x - q * y for x, y in zip(residue, work[r])]
+    if any(x != 0 for x in residue):
+        return None
+    out = [0] * m
+    for r in range(m):
+        if coeffs[r]:
+            for j in range(m):
+                out[j] += coeffs[r] * u[r][j]
+    return out
+
+
+def solve_mod2(rows: Sequence[Sequence[int]], target: Sequence[int]) -> list[int] | None:
+    """Solve x·rows = target over F_2 (used for sign patterns)."""
+    gens = [[x & 1 for x in r] for r in rows]
+    b = [x & 1 for x in target]
+    m = len(gens)
+    if m == 0:
+        return [] if all(x == 0 for x in b) else None
+    n = len(gens[0])
+    aug = [gens[i] + [1 if j == i else 0 for j in range(m)] for i in range(m)]
+    r0 = 0
+    pivots = []
+    for col in range(n):
+        pivot = next((r for r in range(r0, m) if aug[r][col]), None)
+        if pivot is None:
+            continue
+        aug[r0], aug[pivot] = aug[pivot], aug[r0]
+        for r in range(m):
+            if r != r0 and aug[r][col]:
+                aug[r] = [(x + y) & 1 for x, y in zip(aug[r], aug[r0])]
+        pivots.append((r0, col))
+        r0 += 1
+    x = [0] * m
+    residue = b[:]
+    for r, col in pivots:
+        if residue[col]:
+            residue = [(u + v) & 1 for u, v in zip(residue, aug[r][:n])]
+            for j in range(m):
+                x[j] ^= aug[r][n + j]
+    if any(residue):
+        return None
+    return x

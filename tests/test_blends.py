@@ -184,8 +184,9 @@ def test_pair_equivalence_scalings(rank_two):
 
 
 def test_pair_equivalence_power_obstruction(rank_two):
-    """Scaling by squares only: a ratio needing a square root of two is not
-    reachable over the rationals."""
+    """B, A and C are one-dimensional, so an automorphism triple scales the
+    components of L on both generators by one common factor: L' = 2L is in
+    the orbit, but a change in the ratio of the two components is not."""
     _, b, a, c = rank_two
     l_cls = ext1_class(a, b, {0: [1], 1: [0]})
     n_cls = ext1_class(c, a, {0: [1], 1: [0]})
