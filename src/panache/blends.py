@@ -13,16 +13,18 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Sequence
 
-from .linalg import Mat, ONE, ZERO, kernel_basis, solve_linear, vec_is_zero
-from .objects import (IsoResult, Morphism, RepObject, internal_hom, invertible_element,
-                      is_isomorphic, morphism_space, weight_filtration, weight_quotient)
+from .linalg import Mat, ONE, ZERO, format_rat, kernel_basis, solve_linear, vec_is_zero
+from .objects import (IsoResult, Morphism, RepObject, block_comps, glue, inclusion,
+                      internal_hom, invertible_element, is_isomorphic, morphism_space,
+                      projection, weight_filtration, weight_quotient)
 from .galois import hom_block, strictly_lower_block, u_of, u_p_of
 from .cohomology import (ExtClassHandle, H2Class, e_p_class, ext1_class,
                          h1_basis, is_split, min_split_support, quotient_class,
                          yoneda_compose)
 from .axioms import check_axioms
-from .presentations import add_deg
+from .presentations import abelian_presentation, add_deg
 
 
 # ---------------------------------------------------------------------------
@@ -144,33 +146,6 @@ class BlendResult:
         return self.ok
 
 
-def _two_step_object(base: RepObject, top: RepObject, cls: ExtClassHandle,
-                     label: str) -> RepObject:
-    """Extension object of top by base with the given cocycle blocks."""
-    dim = base.dim + top.dim
-    chars = base.characters + top.characters
-    actions = {}
-    for i in set(base.actions) | set(top.actions) | set(cls.comps):
-        mat = Mat.zeros(dim, dim)
-        mb = base.actions.get(i)
-        if mb is not None:
-            for a, b, c in mb.nonzero_entries():
-                mat.data[a][b] = c
-        mt = top.actions.get(i)
-        if mt is not None:
-            for a, b, c in mt.nonzero_entries():
-                mat.data[base.dim + a][base.dim + b] = c
-        comp = cls.comps.get(i)
-        if comp is not None:
-            block = Mat.unflatten(list(comp), base.dim, top.dim)
-            for a, b, c in block.nonzero_entries():
-                mat.data[a][base.dim + b] = c
-        if not mat.is_zero():
-            actions[i] = mat
-    labels = tuple(f"{label}.{x}" for x in base.labels + top.labels)
-    return RepObject(base.presentation, labels, chars, actions)
-
-
 def blend(pair: CompatiblePair) -> BlendResult:
     """Solve the corner blocks of the three-step ansatz; on failure return
     the degree-two obstruction with an infeasibility certificate."""
@@ -259,75 +234,40 @@ def blend(pair: CompatiblePair) -> BlendResult:
     if not sol.feasible:
         obstruction = yoneda_compose(pair.l_class, pair.n_class)
         return BlendResult(False, obstruction=obstruction, certificate=sol.certificate)
-    corner = {key: sol.particular[k] for key, k in pos.items() if sol.particular[k] != 0}
-    diagram = _assemble_diagram(pair, lmats, nmats, corner)
-    return BlendResult(True, diagram=diagram)
+    corner: dict[int, list] = {}
+    for (g, r, s), k in pos.items():
+        if sol.particular[k] != 0:
+            corner.setdefault(g, [ZERO] * (b_obj.dim * c_obj.dim))[r * c_obj.dim + s] = \
+                sol.particular[k]
+    return BlendResult(True, diagram=blend_with_corner(pair, corner))
 
 
-def blend_with_corner(pair: CompatiblePair, corner: dict) -> BlendedDiagram:
-    lmats = {i: Mat.unflatten(list(v), pair.b.dim, pair.a.dim)
-             for i, v in pair.l_class.comps.items()}
-    nmats = {i: Mat.unflatten(list(v), pair.a.dim, pair.c.dim)
-             for i, v in pair.n_class.comps.items()}
-    return _assemble_diagram(pair, lmats, nmats, corner)
-
-
-def _assemble_diagram(pair: CompatiblePair, lmats, nmats, corner) -> BlendedDiagram:
+def blend_with_corner(pair: CompatiblePair, corner: dict[int, Sequence]) -> BlendedDiagram:
+    """The diagram whose middle object has the blocks L and N next to the
+    diagonal and, for each generator g, the corner ``corner[g]``: the C -> B
+    block flattened row-major, as ``glue`` takes it."""
     b_obj, a_obj, c_obj = pair.b, pair.a, pair.c
-    p = b_obj.presentation
+    l_comps, n_comps = pair.l_class.comps, pair.n_class.comps
     db, da, dc = b_obj.dim, a_obj.dim, c_obj.dim
     dim = db + da + dc
-    chars = b_obj.characters + a_obj.characters + c_obj.characters
-    gens = (set(b_obj.actions) | set(a_obj.actions) | set(c_obj.actions)
-            | set(lmats) | set(nmats) | {g for (g, _, _) in corner})
-    actions = {}
-    for i in gens:
-        mat = Mat.zeros(dim, dim)
-        for obj, off in ((b_obj, 0), (a_obj, db), (c_obj, db + da)):
-            ai = obj.actions.get(i)
-            if ai is not None:
-                for a, b, c in ai.nonzero_entries():
-                    mat.data[off + a][off + b] = c
-        if i in lmats:
-            for a, b, c in lmats[i].nonzero_entries():
-                mat.data[a][db + b] = c
-        if i in nmats:
-            for a, b, c in nmats[i].nonzero_entries():
-                mat.data[db + a][db + da + b] = c
-        for (g, r, s), val in corner.items():
-            if g == i:
-                mat.data[r][db + da + s] = val
-        if not mat.is_zero():
-            actions[i] = mat
     labels = tuple(f"b.{x}" for x in b_obj.labels) + tuple(f"a.{x}" for x in a_obj.labels) \
         + tuple(f"c.{x}" for x in c_obj.labels)
-    m_obj = RepObject(p, labels, chars, actions)
-
-    l_mid = _two_step_object(b_obj, a_obj, pair.l_class, "L")
-    n_mid = _two_step_object(a_obj, c_obj, pair.n_class, "N")
-
-    def block_incl(total, idx):
-        out = Mat.zeros(total, len(idx))
-        for col, a in enumerate(idx):
-            out.data[a][col] = ONE
-        return out
-
-    def block_proj(total, idx):
-        out = Mat.zeros(len(idx), total)
-        for r, a in enumerate(idx):
-            out.data[r][a] = ONE
-        return out
-
-    iota_l = Morphism(b_obj, l_mid, block_incl(db + da, range(db)))
-    pi_l = Morphism(l_mid, a_obj, block_proj(db + da, range(db, db + da)))
-    iota_m = Morphism(b_obj, m_obj, block_incl(dim, range(db)))
-    pi_m = Morphism(m_obj, n_mid, block_proj(dim, range(db, dim)))
-    alpha = Morphism(l_mid, m_obj, block_incl(dim, range(db + da)))
-    beta = Morphism(m_obj, c_obj, block_proj(dim, range(db + da, dim)))
-    iota_n = Morphism(a_obj, n_mid, block_incl(da + dc, range(da)))
-    pi_n = Morphism(n_mid, c_obj, block_proj(da + dc, range(da, da + dc)))
-    return BlendedDiagram(b_obj, l_mid, a_obj, m_obj, n_mid, c_obj,
-                          iota_l, pi_l, iota_m, pi_m, alpha, beta, iota_n, pi_n)
+    m_obj = glue([b_obj, a_obj, c_obj], {(0, 1): l_comps, (1, 2): n_comps, (0, 2): corner},
+                 labels)
+    l_mid = glue([b_obj, a_obj], {(0, 1): l_comps},
+                 tuple(f"L.{x}" for x in b_obj.labels + a_obj.labels))
+    n_mid = glue([a_obj, c_obj], {(0, 1): n_comps},
+                 tuple(f"N.{x}" for x in a_obj.labels + c_obj.labels))
+    return BlendedDiagram(
+        b_obj, l_mid, a_obj, m_obj, n_mid, c_obj,
+        iota_l=inclusion(b_obj, l_mid, range(db)),
+        pi_l=projection(l_mid, a_obj, range(db, db + da)),
+        iota_m=inclusion(b_obj, m_obj, range(db)),
+        pi_m=projection(m_obj, n_mid, range(db, dim)),
+        alpha=inclusion(l_mid, m_obj, range(db + da)),
+        beta=projection(m_obj, c_obj, range(db + da, dim)),
+        iota_n=inclusion(a_obj, n_mid, range(da)),
+        pi_n=projection(n_mid, c_obj, range(da, da + dc)))
 
 
 @dataclass
@@ -361,47 +301,23 @@ def attached_unique(pair: CompatiblePair) -> AttachedResult:
 def _second_blend(pair: CompatiblePair, res: BlendResult, obstruction_space):
     """Perturb the corner by a one-cocycle: a nonzero Ext class if one
     exists, else a coboundary shift; None when the corner is forced."""
-    corner_shift = None
     if obstruction_space:
-        cls = obstruction_space[0]
-        corner_shift = {(i, a // pair.c.dim, a % pair.c.dim): v
-                        for i, comp in cls.comps.items()
-                        for a, v in enumerate(comp) if v != 0}
+        shift = obstruction_space[0].comps
     else:
         # coboundary of a character-zero hom: exists only with matching chars
         zero_char = tuple([0] * pair.b.presentation.torus_rank)
         hom_cb = internal_hom(pair.c, pair.b)
-        idx = hom_cb.char_indices(zero_char)
-        for a0 in idx:
-            shift = {}
-            for i, mat in hom_cb.actions.items():
-                for r in range(hom_cb.dim):
-                    if mat.data[r][a0] != 0:
-                        shift[(i, r // pair.c.dim, r % pair.c.dim)] = mat.data[r][a0]
-            if shift:
-                corner_shift = shift
-                break
-    if corner_shift is None:
+        shift = next((col for a0 in hom_cb.char_indices(zero_char)
+                      if (col := block_comps(hom_cb, range(hom_cb.dim), [a0]))), None)
+    if shift is None:
         return None
-    base = {}
-    d = res.diagram
+    m = res.diagram.m
     db, da = pair.b.dim, pair.a.dim
-    for i, mat in d.m.actions.items():
-        for r in range(db):
-            for s in range(pair.c.dim):
-                v = mat.data[r][db + da + s]
-                if v != 0:
-                    base[(i, r, s)] = v
-    merged = dict(base)
-    for k, v in corner_shift.items():
-        merged[k] = merged.get(k, ZERO) + v
-    merged = {k: v for k, v in merged.items() if v != 0}
-    return _assemble_diagram(pair,
-                             {i: Mat.unflatten(list(v), pair.b.dim, pair.a.dim)
-                              for i, v in pair.l_class.comps.items()},
-                             {i: Mat.unflatten(list(v), pair.a.dim, pair.c.dim)
-                              for i, v in pair.n_class.comps.items()},
-                             merged).m
+    base = block_comps(m, range(db), range(db + da, m.dim))
+    zero = (ZERO,) * (db * pair.c.dim)
+    merged = {i: [x + y for x, y in zip(base.get(i, zero), shift.get(i, zero))]
+              for i in set(base) | set(shift)}
+    return blend_with_corner(pair, merged).m
 
 
 # ---------------------------------------------------------------------------
@@ -494,24 +410,9 @@ def extract_pair(m: RepObject, b_cut: int, a_cut: int) -> CompatiblePair:
     step = weight_filtration(m, a_cut).source
     a_obj = weight_quotient(step, b_cut).target
     c_obj = weight_quotient(m, a_cut).target
-    l_comps = {}
-    n_comps = {}
-    for i, mat in m.actions.items():
-        lv = [ZERO] * (len(b_idx) * len(a_idx))
-        nv = [ZERO] * (len(a_idx) * len(c_idx))
-        for r, orig_r in enumerate(b_idx):
-            for c, orig_c in enumerate(a_idx):
-                lv[r * len(a_idx) + c] = mat.data[orig_r][orig_c]
-        for r, orig_r in enumerate(a_idx):
-            for c, orig_c in enumerate(c_idx):
-                nv[r * len(c_idx) + c] = mat.data[orig_r][orig_c]
-        if any(x != 0 for x in lv):
-            l_comps[i] = lv
-        if any(x != 0 for x in nv):
-            n_comps[i] = nv
     return CompatiblePair(b_obj, a_obj, c_obj,
-                          ext1_class(a_obj, b_obj, l_comps),
-                          ext1_class(c_obj, a_obj, n_comps))
+                          ext1_class(a_obj, b_obj, block_comps(m, b_idx, a_idx)),
+                          ext1_class(c_obj, a_obj, block_comps(m, a_idx, c_idx)))
 
 
 def pair_act(pair: CompatiblePair, fb: Mat, fa: Mat, fc: Mat) -> CompatiblePair:
@@ -591,7 +492,6 @@ class SearchOutcome:
 
 
 def abelian_search_presentation(chars: list[int], degrees: list[int]):
-    from .presentations import abelian_presentation
     names = [f"x{i}" for i in range(len(degrees))]
     return abelian_presentation(1, (-2,), [(d,) for d in degrees], names=names)
 
@@ -708,7 +608,6 @@ def counterexample_search(weight_pattern: list[int],
 
 
 def _object_spec(m: RepObject) -> dict:
-    from .linalg import format_rat
     return {
         "characters": [list(c) for c in m.characters],
         "actions": {m.presentation.name_of(i): [[a, b, format_rat(c)]

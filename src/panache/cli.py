@@ -15,10 +15,12 @@ import time
 from .axioms import check_axioms
 from .blends import (blend, counterexample_search, is_large_u, is_large_u_p,
                      pair_equivalent, theorem3_verify, verify_certificate)
-from .cohomology import (e_p_class, is_split, originates_from, quotient_class)
+from .cohomology import (e_p_class, is_split, originates_from, quotient_class,
+                         transport_to_target)
+from .corpus import sample_stable_subspace
 from .galois import galois_dim, u_geq_of, u_of, u_p_of
 from .linalg import format_rat, parse_rat, rref_basis
-from .mixed_tate import (build_four_dim_example, classification_unique,
+from .mixed_tate import (build_four_dim_example, build_mt_model, classification_unique,
                          classify_three_dim, period_matrix_report)
 from .objects import direct_sum, gr_object, weight_filtration, weight_quotient
 from .suites import SUITES, run_suite
@@ -283,7 +285,6 @@ def _dispatch(args) -> int:
     if cmd == "classify-mt":
         model = None
         if args.max_twist is not None:
-            from .mixed_tate import build_mt_model
             model = build_mt_model(args.max_twist, args.kummer_rank or 1)
         r = parse_rat(args.r) if args.r is not None else None
         result = classify_three_dim(args.n, args.k, r, model=model)
@@ -420,8 +421,6 @@ def _quotient_by_file(e, m, path: str):
 
 def _theorem1_report(m, p: int, samples: int, seed: int) -> dict:
     """Positive and sampled-negative origination at a single cut."""
-    from .corpus import sample_stable_subspace
-    from .cohomology import transport_to_target
     e = e_p_class(m, p)
     up = u_p_of(m, p)
     s = direct_sum(weight_filtration(m, p).source, weight_quotient(m, p).target)

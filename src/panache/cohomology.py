@@ -16,11 +16,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .linalg import (IntLattice, Mat, ONE, ZERO, Subspace, kernel_basis,
+from .linalg import (IntLattice, Mat, ONE, ZERO, Subspace, kernel_basis, rat,
                      rref_basis, solve_linear)
-from .objects import (Morphism, RepObject, _restrict, internal_hom, quotient_by,
-                      unit_object, weight_filtration, weight_quotient)
-from .galois import LieSubspace, strictly_lower_block
+from .objects import (Morphism, RepObject, _restrict, block_comps, glue, inclusion,
+                      internal_hom, projection, quotient_by, unit_object,
+                      weight_filtration, weight_quotient)
+from .galois import LieSubspace, hom_block, strictly_lower_block
 from .presentations import dot
 
 
@@ -87,7 +88,6 @@ def _sparse_basis(rows: Iterable[dict]) -> list[dict]:
 
 
 def _clean_comps(target: RepObject, comps: dict[int, Sequence[Fraction]]) -> dict[int, tuple]:
-    from .linalg import rat
     p = target.presentation
     out = {}
     for i, v in comps.items():
@@ -443,30 +443,11 @@ def _d1_image_rows(x: RepObject, pos: dict) -> list[dict]:
 def e_p_class(m: RepObject, p: int) -> ExtClassHandle:
     """The extension of the unit by Hom(M/W_p M, W_p M) cut out by the weight
     filtration: the cocycle is the family of off-diagonal action blocks."""
-    wf = weight_filtration(m, p)
-    wq = weight_quotient(m, p)
-    sub, quo = wf.source, wq.target
-    sub_idx = m.indices_of_weight_leq(p)
+    sub = weight_filtration(m, p).source
     quo_idx = [a for a in range(m.dim) if m.weight_of(a) > p]
-    comps: dict[int, list] = {}
-    for i, mat in m.actions.items():
-        v = [ZERO] * (sub.dim * quo.dim)
-        touched = False
-        for r, orig_r in enumerate(sub_idx):
-            for c, orig_c in enumerate(quo_idx):
-                val = mat.data[orig_r][orig_c]
-                if val != 0:
-                    v[r * quo.dim + c] = val
-                    touched = True
-        if touched:
-            comps[i] = v
-    out = ext1_class(quo, sub, comps)
-    end = internal_hom(m, m)
-    emb = Mat.zeros(m.dim * m.dim, sub.dim * quo.dim)
-    for r, orig_r in enumerate(sub_idx):
-        for c, orig_c in enumerate(quo_idx):
-            emb.data[orig_r * m.dim + orig_c][r * quo.dim + c] = ONE
-    out.embed = Morphism(out.target, end, emb)
+    quo = weight_quotient(m, p).target
+    out = ext1_class(quo, sub, block_comps(m, m.indices_of_weight_leq(p), quo_idx))
+    out.embed = inclusion(out.target, internal_hom(m, m), hom_block(m, p))
     return out
 
 
@@ -485,40 +466,18 @@ def dagger_object(m: RepObject, p: int) -> tuple[RepObject, Morphism]:
 def extension_object(e: ExtClassHandle) -> tuple[RepObject, Morphism, Morphism]:
     """The middle object E of 0 -> X -> E -> 1 -> 0 plus both maps."""
     x = e.target
-    p = x.presentation
-    dim = x.dim + 1
-    chars = x.characters + (tuple([0] * p.torus_rank),)
-    actions = {}
-    for i in set(x.actions) | set(e.comps):
-        mat = Mat.zeros(dim, dim)
-        base = x.actions.get(i)
-        if base is not None:
-            for a, b, c in base.nonzero_entries():
-                mat.data[a][b] = c
-        comp = e.comps.get(i)
-        if comp is not None:
-            for a, c in enumerate(comp):
-                mat.data[a][x.dim] = c
-        if not mat.is_zero():
-            actions[i] = mat
-    ext = RepObject(p, x.labels + ("e",), chars, actions)
-    incl = Mat.zeros(dim, x.dim)
-    for a in range(x.dim):
-        incl.data[a][a] = ONE
-    surj = Mat.zeros(1, dim)
-    surj.data[0][x.dim] = ONE
-    return ext, Morphism(x, ext, incl), Morphism(ext, unit_object(p), surj)
+    unit = unit_object(x.presentation)
+    ext = glue([x, unit], {(0, 1): e.comps}, x.labels + ("e",))
+    return ext, inclusion(x, ext, range(x.dim)), projection(ext, unit, [x.dim])
 
 
 def _lower_end(m: RepObject) -> tuple[RepObject, Morphism, list[int]]:
     """End(M) restricted to its strictly-lowering indices (see
     ``total_class``), with the coordinate inclusion and those indices."""
     end = internal_hom(m, m)
-    d = m.dim
     idx = sorted(strictly_lower_block(m), key=lambda k: (end.characters[k], k))
     target = _restrict(end, idx)
-    incl = Mat.from_rows([[ONE if k == j else ZERO for j in idx] for k in range(d * d)])
-    return target, Morphism(target, end, incl), idx
+    return target, inclusion(target, end, idx), idx
 
 
 def total_class(m: RepObject) -> ExtClassHandle:

@@ -9,6 +9,7 @@ ever evaluated numerically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -95,7 +96,6 @@ def kummer_canonical(r) -> KummerClass:
     if r == 1:
         raise ValueError("the trivial class has no canonical representative")
     exps = exponent_vector(r)
-    import math
     g = 0
     for e in exps.values():
         g = math.gcd(g, abs(e))

@@ -15,9 +15,9 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, Sequence
 
-from .linalg import (Mat, ONE, ZERO, Subspace, commutator, kernel_basis, pivot_columns,
-                     rref_rows)
-from .presentations import GroupPresentation, add_deg, dot
+from .linalg import (Mat, ONE, ZERO, Subspace, commutator, kernel_basis, kron,
+                     pivot_columns, rref_rows)
+from .presentations import GroupPresentation, add_deg, dot, standard_factorization
 
 Character = tuple[int, ...]
 
@@ -163,18 +163,76 @@ def simple_character(p: GroupPresentation, chi) -> RepObject:
 
 
 def direct_sum(m: RepObject, n: RepObject) -> RepObject:
-    _same_presentation(m, n)
     labels = tuple(f"l.{x}" for x in m.labels) + tuple(f"r.{x}" for x in n.labels)
-    chars = m.characters + n.characters
-    actions: dict[int, Mat] = {}
-    for i in set(m.actions) | set(n.actions):
-        out = Mat.zeros(m.dim + n.dim, m.dim + n.dim)
-        for a, b, c in m.action(i).nonzero_entries():
-            out.data[a][b] = c
-        for a, b, c in n.action(i).nonzero_entries():
-            out.data[m.dim + a][m.dim + b] = c
-        actions[i] = out
-    return RepObject(m.presentation, labels, chars, actions)
+    return glue([m, n], {}, labels)
+
+
+def glue(parts: Sequence[RepObject], blocks: dict[tuple[int, int], dict[int, Sequence]],
+         labels: Sequence[str]) -> RepObject:
+    """The block upper-triangular object with ``parts`` on the diagonal.
+
+    Part k occupies the basis indices from the sum of the earlier parts'
+    dimensions on.  For each block ``(r, c)`` with r < c, generator i acts
+    from part c into part r by ``blocks[(r, c)][i]``: the dim(part r) ×
+    dim(part c) matrix flattened row-major, as ``ExtClassHandle.comps``
+    stores a class in Hom(part c, part r).  ``block_comps`` reads a block
+    back."""
+    p = parts[0].presentation
+    offsets = [0]
+    for part in parts:
+        _same_presentation(parts[0], part)
+        offsets.append(offsets[-1] + part.dim)
+    dim = offsets[-1]
+    cells: dict[int, list] = {}
+    for part, off in zip(parts, offsets):
+        for i, mat in part.actions.items():
+            cells.setdefault(i, []).extend(
+                (off + a, off + b, x) for a, b, x in mat.nonzero_entries())
+    for (r, c), comps in blocks.items():
+        if not 0 <= r < c < len(parts):
+            raise ValueError(f"block ({r}, {c}) is not above the diagonal of "
+                             f"{len(parts)} parts")
+        rows, cols = parts[r].dim, parts[c].dim
+        for i, flat in comps.items():
+            if len(flat) != rows * cols:
+                raise ValueError(f"block ({r}, {c}) of {p.name_of(i)} has {len(flat)} "
+                                 f"entries, not {rows}×{cols}")
+            cells.setdefault(i, []).extend(
+                (offsets[r] + e // cols, offsets[c] + e % cols, x)
+                for e, x in enumerate(flat) if x)
+    actions = {}
+    for i in sorted(cells):
+        mat = Mat.zeros(dim, dim)
+        for a, b, x in cells[i]:
+            mat.data[a][b] = x
+        actions[i] = mat
+    chars = tuple(chi for part in parts for chi in part.characters)
+    return RepObject(p, tuple(labels), chars, actions)
+
+
+def block_comps(m: RepObject, rows: Sequence[int], cols: Sequence[int]) -> dict[int, tuple]:
+    """The (rows, cols) block of every action, flattened row-major as in
+    ``glue``; all-zero blocks are left out."""
+    out = {}
+    for i, mat in m.actions.items():
+        v = tuple(mat.data[r][c] for r in rows for c in cols)
+        if any(v):
+            out[i] = v
+    return out
+
+
+def inclusion(sub: RepObject, m: RepObject, idx: Sequence[int]) -> Morphism:
+    """The coordinate map sending basis vector j of ``sub`` to e_idx[j] of m."""
+    mat = Mat.zeros(m.dim, sub.dim)
+    for j, a in enumerate(idx):
+        mat.data[a][j] = ONE
+    return Morphism(sub, m, mat)
+
+
+def projection(m: RepObject, quo: RepObject, idx: Sequence[int]) -> Morphism:
+    """The coordinate map reading coordinate idx[j] of m as coordinate j of
+    ``quo``: the transpose of the inclusion."""
+    return Morphism(m, quo, inclusion(quo, m, idx).matrix.transpose())
 
 
 def tensor_product(m: RepObject, n: RepObject) -> RepObject:
@@ -183,7 +241,6 @@ def tensor_product(m: RepObject, n: RepObject) -> RepObject:
     chars = tuple(add_deg(cm, cn) for cm in m.characters for cn in n.characters)
     actions: dict[int, Mat] = {}
     eye_m, eye_n = Mat.identity(m.dim), Mat.identity(n.dim)
-    from .linalg import kron
     for i in set(m.actions) | set(n.actions):
         actions[i] = kron(m.action(i), eye_n) + kron(eye_m, n.action(i))
     return RepObject(m.presentation, labels, chars, actions)
@@ -203,7 +260,6 @@ def internal_hom(m: RepObject, n: RepObject) -> RepObject:
     labels = tuple(f"{ln}@{lm}" for ln in n.labels for lm in m.labels)
     chars = tuple(tuple(x - y for x, y in zip(cn, cm))
                   for cn in n.characters for cm in m.characters)
-    from .linalg import kron
     eye_m, eye_n = Mat.identity(m.dim), Mat.identity(n.dim)
     actions: dict[int, Mat] = {}
     for i in set(m.actions) | set(n.actions):
@@ -223,34 +279,20 @@ def _same_presentation(m: RepObject, n: RepObject) -> None:
 def weight_filtration(m: RepObject, n: int) -> Morphism:
     """Inclusion of W_n M = span of basis vectors of weight <= n."""
     idx = m.indices_of_weight_leq(n)
-    sub = _restrict(m, idx, suffix=f"|w<={n}")
-    incl = Mat.zeros(m.dim, len(idx))
-    for col, a in enumerate(idx):
-        incl.data[a][col] = ONE
-    return Morphism(sub, m, incl)
+    return inclusion(_restrict(m, idx, suffix=f"|w<={n}"), m, idx)
 
 
 def weight_quotient(m: RepObject, n: int) -> Morphism:
     """Projection M -> M / W_n M (spanned by the basis vectors of weight > n)."""
     idx = [a for a in range(m.dim) if m.weight_of(a) > n]
-    quo = _restrict(m, idx, suffix=f"|w>{n}")
-    proj = Mat.zeros(len(idx), m.dim)
-    for row, a in enumerate(idx):
-        proj.data[row][a] = ONE
-    return Morphism(m, quo, proj)
+    return projection(m, _restrict(m, idx, suffix=f"|w>{n}"), idx)
 
 
-def _restrict(m: RepObject, idx: list[int], suffix: str = "") -> RepObject:
+def _restrict(m: RepObject, idx: Sequence[int], suffix: str = "") -> RepObject:
     labels = tuple(m.labels[a] + suffix for a in idx)
     chars = tuple(m.characters[a] for a in idx)
-    actions = {}
-    for i, a in m.actions.items():
-        out = Mat.zeros(len(idx), len(idx))
-        for r, ar in enumerate(idx):
-            for c, ac in enumerate(idx):
-                out.data[r][c] = a.data[ar][ac]
-        if not out.is_zero():
-            actions[i] = out
+    actions = {i: Mat.unflatten(v, len(idx), len(idx))
+               for i, v in block_comps(m, idx, idx).items()}
     return RepObject(m.presentation, labels, chars, actions)
 
 
@@ -598,6 +640,5 @@ def _extend_free_actions(obj: RepObject) -> None:
 
 
 def _factor_indices(p: GroupPresentation, w) -> tuple[int, int]:
-    from .presentations import standard_factorization
     u, v = standard_factorization(w)
     return p.free_meta.word_index[u], p.free_meta.word_index[v]

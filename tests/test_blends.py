@@ -310,6 +310,7 @@ def test_extract_pair_round_trip(rank_two):
     """Reading the pair off a blend returns the classes that built it, and
     the object is attached to its own extracted pair."""
     from panache.blends import extract_pair, blend_with_corner
+    from panache.objects import block_comps
     _, b, a, c = rank_two
     l_cls = ext1_class(a, b, {0: [1], 1: [0]})
     n_cls = ext1_class(c, a, {0: [2], 1: [0]})
@@ -318,14 +319,7 @@ def test_extract_pair_round_trip(rank_two):
     assert got.l_class.same_class(l_cls)
     assert got.n_class.same_class(n_cls)
     # the object's own corner closes the diagram
-    corner = {}
-    db, dc = b.dim, c.dim
-    for i, mat in m.actions.items():
-        for r in range(db):
-            for s in range(dc):
-                v = mat.data[r][db + a.dim + s]
-                if v != 0:
-                    corner[(i, r, s)] = v
+    corner = block_comps(m, range(b.dim), range(b.dim + a.dim, m.dim))
     diagram = blend_with_corner(got, corner)
     assert diagram.validate() == []
     assert is_isomorphic(diagram.m, m).status == "yes"
